@@ -1,72 +1,9 @@
 """Stable Kronecker coefficients from lattice Kronecker tableaux."""
 
-from .partitions import (
-    Dominance,
-    FirstRowTooShort,
-    NotContained,
-    Partition,
-    SkewPair,
-    add_box,
-    contains,
-    dominance,
-    format_partition,
-    horizontal_strip,
-    intersect,
-    pad,
-    parse_partition,
-    remove_box,
-)
-from .tableaux import (
-    InsufficientLength,
-    KroneckerTableau,
-    ShapeMismatch,
-    Step,
-    StepKind,
-    TripleClass,
-    UnsupportedFamily,
-    apply_step,
-    classify,
-    enumerate_std,
-    enumerate_std0,
-    most_dominant,
-    parse_step,
-    parse_tableau,
-    swap,
-    tableau_dominance,
-)
-from .orbits import (
-    NotMaximalDepth,
-    WeightedOrbit,
-    boundaries,
-    enumerate_orbits,
-    enumerate_sstd,
-    frame_of,
-    is_semistandard,
-    orbit_of,
-    to_classical,
-)
-from .reading import (
-    ReadingWord,
-    is_lattice,
-    reading_word,
-    reading_word_of,
-    stable_kronecker,
-    stable_kronecker_copieri,
-    step_compare,
-)
-from .characters import (
-    CycleType,
-    SizeMismatch,
-    character,
-    centralizer_order,
-    kostka,
-    kronecker,
-    lr_coefficient,
-    padded_kronecker,
-    partitions_of,
-    partitions_up_to,
-    stable_kronecker_oracle,
-    standard_count,
-)
+from .characters import stable_kronecker_oracle
+from .orbits import enumerate_sstd
+from .partitions import Partition, parse_partition
+from .reading import is_lattice, reading_word, stable_kronecker
+from .tableaux import enumerate_std0
 
 __version__ = "0.1.0"

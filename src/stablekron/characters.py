@@ -10,7 +10,6 @@ other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 from .partitions import Partition, contains, pad
@@ -46,19 +45,6 @@ def centralizer_order(rho) -> int:
     for i, m in mult.items():
         z *= i**m * math.factorial(m)
     return z
-
-
-@dataclass(frozen=True)
-class CycleType:
-    rho: Partition
-
-    @property
-    def z(self) -> int:
-        return centralizer_order(self.rho)
-
-    @property
-    def size(self) -> int:
-        return self.rho.size
 
 
 # Shared read-mostly memo table; inserts are idempotent so concurrent use
@@ -107,7 +93,7 @@ def _char(lam: tuple[int, ...], rho: tuple[int, ...]) -> int:
 
 def character(lam: Partition, rho) -> int:
     """chi^lam at cycle type rho, by rim-hook recursion."""
-    rho_parts = rho.rho if isinstance(rho, CycleType) else Partition(rho)
+    rho_parts = Partition(rho)
     if lam.size != rho_parts.size:
         raise SizeMismatch(f"|{lam!r}| != |{rho_parts!r}|")
     return _char(tuple(lam), tuple(rho_parts))

@@ -8,29 +8,20 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
-from . import characters
 from .characters import (
     SizeMismatch,
+    character,
     kostka,
     kronecker,
     lr_coefficient,
-    partitions_of,
-    partitions_up_to,
     stable_kronecker_oracle,
     standard_count,
 )
-from .orbits import enumerate_sstd, to_classical
-from .partitions import (
-    FirstRowTooShort,
-    Partition,
-    contains,
-    format_partition,
-    parse_partition,
-)
-from .reading import is_lattice, reading_word, stable_kronecker_copieri
+from .orbits import boundaries, enumerate_sstd, to_classical
+from .partitions import FirstRowTooShort, Partition, parse_partition
+from .reading import is_lattice, reading_word, stable_kronecker
 from .tableaux import (
     TripleClass,
     UnsupportedFamily,
@@ -39,111 +30,7 @@ from .tableaux import (
     enumerate_std0,
     swap,
 )
-
-_CACHE_FILE = "characters.cache"
-
-
-def _cache_path() -> str | None:
-    cache_dir = os.environ.get("KRON_CACHE_DIR")
-    if cache_dir and os.path.isdir(cache_dir):
-        return os.path.join(cache_dir, _CACHE_FILE)
-    return None
-
-
-def _sub_partitions(nu: Partition) -> list[Partition]:
-    """All partitions contained in nu."""
-    out: list[Partition] = []
-
-    def build(prefix: list[int], row: int, cap: int):
-        out.append(Partition(prefix))
-        if row >= len(nu):
-            return
-        for part in range(min(cap, nu[row]), 0, -1):
-            prefix.append(part)
-            build(prefix, row + 1, part)
-            prefix.pop()
-
-    build([], 0, nu[0] if nu else 0)
-    return out
-
-
-def sweep_maximal_depth(max_nu: int) -> list[dict]:
-    """Lattice count vs Littlewood-Richardson over all maximal-depth
-    triples with |nu| <= max_nu."""
-    mismatches = []
-    for m in range(max_nu + 1):
-        for nu_parts in partitions_of(m):
-            nu = Partition(nu_parts)
-            for lam in _sub_partitions(nu):
-                s = nu.size - lam.size
-                for mu_parts in partitions_of(s):
-                    mu = Partition(mu_parts)
-                    got = stable_kronecker_copieri(lam, nu, mu)
-                    want = lr_coefficient(lam, mu, nu)
-                    if got != want:
-                        mismatches.append(
-                            {
-                                "lambda": str(lam),
-                                "nu": str(nu),
-                                "mu": str(mu),
-                                "copieri": got,
-                                "oracle": want,
-                            }
-                        )
-    return mismatches
-
-
-def sweep_one_row(max_part: int, max_mu: int) -> list[dict]:
-    """Lattice count vs character-oracle stable limit over one-row pairs."""
-    mismatches = []
-    for a in range(max_part + 1):
-        for b in range(max_part + 1):
-            lam = Partition((a,) if a else ())
-            nu = Partition((b,) if b else ())
-            for mu in partitions_up_to(max_mu):
-                got = stable_kronecker_copieri(lam, nu, mu)
-                want = stable_kronecker_oracle(lam, nu, mu)
-                if got != want:
-                    mismatches.append(
-                        {
-                            "lambda": str(lam),
-                            "nu": str(nu),
-                            "mu": str(mu),
-                            "copieri": got,
-                            "oracle": want,
-                        }
-                    )
-    return mismatches
-
-
-def sweep_dims(max_size: int, max_s: int) -> list[dict]:
-    """Orbit-count identity |SStd| = sum_beta g*K against the oracles,
-    over supported triples with |lam|, |nu| <= max_size and s <= max_s."""
-    mismatches = []
-    shapes = partitions_up_to(max_size)
-    for lam in shapes:
-        for nu in shapes:
-            for s in range(max_s + 1):
-                if s != nu.size - lam.size and not (len(lam) <= 1 and len(nu) <= 1):
-                    continue
-                betas = [Partition(b) for b in partitions_of(s)]
-                gbar = {
-                    beta: stable_kronecker_copieri(lam, nu, beta) for beta in betas
-                }
-                for mu in betas:
-                    got = len(enumerate_sstd(lam, nu, s, mu))
-                    want = sum(gbar[beta] * kostka(beta, mu) for beta in betas)
-                    if got != want:
-                        mismatches.append(
-                            {
-                                "lambda": str(lam),
-                                "nu": str(nu),
-                                "mu": str(mu),
-                                "copieri": got,
-                                "oracle": want,
-                            }
-                        )
-    return mismatches
+from .verify import sweep_dims, sweep_maximal_depth, sweep_one_row
 
 
 def _orbit_json(orbit, with_reading: bool) -> dict:
@@ -169,11 +56,7 @@ def _orbit_json(orbit, with_reading: bool) -> dict:
 def _orbit_dot(orbits) -> str:
     lines = ["digraph swaps {"]
     for idx, orbit in enumerate(orbits):
-        bnd = set()
-        acc = 0
-        for part in orbit.weight[:-1]:
-            acc += part
-            bnd.add(acc)
+        bnd = boundaries(orbit.weight)
         for m in orbit.members:
             lines.append(f'  "{idx}:{m}";')
             for k in range(1, m.length):
@@ -190,13 +73,8 @@ def cmd_count(args) -> int:
     lam, nu, mu = args.lam, args.nu, args.mu
     if args.method == "oracle":
         value, method = stable_kronecker_oracle(lam, nu, mu), "oracle"
-    elif args.method == "copieri":
-        value, method = stable_kronecker_copieri(lam, nu, mu), "copieri"
     else:
-        try:
-            value, method = stable_kronecker_copieri(lam, nu, mu), "copieri"
-        except UnsupportedFamily:
-            value, method = stable_kronecker_oracle(lam, nu, mu), "oracle"
+        value, method = stable_kronecker(lam, nu, mu, fallback=args.method == "auto")
     if args.format == "json":
         print(
             json.dumps(
@@ -219,6 +97,8 @@ def cmd_enumerate(args) -> int:
     if args.kind in ("std", "std0"):
         if args.s is None:
             raise SystemExit2("enumerate std/std0 requires -s")
+        if args.s < 0:
+            raise SystemExit2(f"-s must be >= 0, got {args.s}")
         paths = (
             enumerate_std(lam, nu, args.s)
             if args.kind == "std"
@@ -259,6 +139,10 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    for name in ("max_nu", "max_part", "max_mu", "max_size", "max_s"):
+        value = getattr(args, name)
+        if value < 0:
+            raise SystemExit2(f"--{name.replace('_', '-')} must be >= 0, got {value}")
     if args.family == "maximal-depth":
         mismatches = sweep_maximal_depth(args.max_nu)
     elif args.family == "one-row":
@@ -295,7 +179,7 @@ def cmd_classify(args) -> int:
 
 def cmd_oracle(args) -> int:
     if args.kind == "char":
-        value = characters.character(args.lam, args.rho)
+        value = character(args.lam, args.rho)
     elif args.kind == "kron":
         value = kronecker(args.lam, args.mu, args.nu)
     elif args.kind == "stable":
@@ -385,17 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cache = _cache_path()
-    if cache and os.path.exists(cache):
-        characters.load_character_cache(cache)
     try:
-        code = args.func(args)
+        return args.func(args)
     except (UnsupportedFamily, SizeMismatch, FirstRowTooShort, SystemExit2, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if cache:
-        characters.save_character_cache(cache)
-    return code
 
 
 def entry() -> None:

@@ -92,24 +92,6 @@ def is_semistandard(o: WeightedOrbit) -> bool:
     )
 
 
-def enumerate_sstd(
-    lam: Partition, nu: Partition, s: int, mu: Partition
-) -> list[WeightedOrbit]:
-    """All semistandard orbits for the triple, ordered by representative."""
-    if mu.size != s:
-        raise ValueError(f"|mu| = {mu.size} must equal s = {s}")
-    remaining = set(enumerate_std0(lam, nu, s))
-    orbits = []
-    while remaining:
-        seed = min(remaining, key=lambda m: m.sort_key)
-        orb = orbit_of(seed, mu)
-        remaining -= set(orb.members)
-        if is_semistandard(orb):
-            orbits.append(orb)
-    orbits.sort(key=lambda o: o.representative.sort_key)
-    return orbits
-
-
 def enumerate_orbits(
     lam: Partition, nu: Partition, s: int, mu: Partition
 ) -> list[WeightedOrbit]:
@@ -125,6 +107,13 @@ def enumerate_orbits(
         orbits.append(orb)
     orbits.sort(key=lambda o: o.representative.sort_key)
     return orbits
+
+
+def enumerate_sstd(
+    lam: Partition, nu: Partition, s: int, mu: Partition
+) -> list[WeightedOrbit]:
+    """All semistandard orbits for the triple, ordered by representative."""
+    return [o for o in enumerate_orbits(lam, nu, s, mu) if is_semistandard(o)]
 
 
 def to_classical(o: WeightedOrbit) -> list[list]:

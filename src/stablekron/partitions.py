@@ -7,9 +7,6 @@ All operations are pure functions over immutable values.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-
 
 class FirstRowTooShort(ValueError):
     """Padding to n would not produce a partition (n - |lam| < lam_1)."""
@@ -17,13 +14,6 @@ class FirstRowTooShort(ValueError):
 
 class NotContained(ValueError):
     """A skew operation was asked for with inner not contained in outer."""
-
-
-class Dominance(enum.Enum):
-    LESS = "less"
-    EQUAL = "equal"
-    GREATER = "greater"
-    INCOMPARABLE = "incomparable"
 
 
 class Partition(tuple):
@@ -66,23 +56,6 @@ class Partition(tuple):
 EMPTY = Partition()
 
 
-@dataclass(frozen=True)
-class SkewPair:
-    """An outer/inner pair of partitions; containment is a query, not a precondition."""
-
-    outer: Partition
-    inner: Partition
-
-    @property
-    def contained(self) -> bool:
-        return contains(self.inner, self.outer)
-
-    @property
-    def size(self) -> int:
-        """Number of boxes of outer not in inner (rowwise difference)."""
-        return self.outer.size - intersect(self.outer, self.inner).size
-
-
 def parse_partition(text: str) -> Partition:
     """Parse the "a,b,c" text format; "" and "0" both mean the empty partition."""
     text = text.strip()
@@ -105,30 +78,6 @@ def contains(inner: Partition, outer: Partition) -> bool:
 def intersect(a: Partition, b: Partition) -> Partition:
     """Rowwise minimum: the largest partition contained in both."""
     return Partition(min(x, y) for x, y in zip(a, b))
-
-
-def dominance(a: Partition, b: Partition) -> Dominance:
-    """Compare partial sums of a and b for every prefix length.
-
-    Sizes may differ: no normalization is applied, which is the extension
-    needed to compare partitions living at different branching-graph levels.
-    """
-    ge = le = True
-    sa = sb = 0
-    for j in range(max(len(a), len(b))):
-        sa += a[j] if j < len(a) else 0
-        sb += b[j] if j < len(b) else 0
-        if sa < sb:
-            ge = False
-        if sa > sb:
-            le = False
-    if ge and le:
-        return Dominance.EQUAL
-    if ge:
-        return Dominance.GREATER
-    if le:
-        return Dominance.LESS
-    return Dominance.INCOMPARABLE
 
 
 def pad(lam: Partition, n: int) -> Partition:
@@ -166,12 +115,11 @@ def remove_box(lam: Partition, i: int):
     return Partition(parts)
 
 
-def horizontal_strip(skew: SkewPair) -> bool:
+def horizontal_strip(outer: Partition, inner: Partition) -> bool:
     """True iff outer/inner has no two boxes in the same column.
 
     Requires inner contained in outer.
     """
-    if not skew.contained:
-        raise NotContained(f"{skew.inner!r} not contained in {skew.outer!r}")
-    outer, inner = skew.outer, skew.inner
+    if not contains(inner, outer):
+        raise NotContained(f"{inner!r} not contained in {outer!r}")
     return all(outer.row(i) <= inner.row(i - 1) for i in range(2, len(outer) + 1))

@@ -22,12 +22,6 @@ from .tableaux import (
 )
 
 
-def step_compare(a: Step, b: Step) -> int:
-    """-1, 0 or 1 as a sorts before, equal to, or after b."""
-    ka, kb = a.sort_key, b.sort_key
-    return (ka > kb) - (ka < kb)
-
-
 @dataclass(frozen=True)
 class ReadingWord:
     steps: tuple[Step, ...]

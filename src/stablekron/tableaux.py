@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from functools import total_ordering
 
 from .partitions import (
-    Dominance,
     Partition,
     add_box,
     contains,
+    horizontal_strip,
     intersect,
     remove_box,
 )
@@ -25,14 +25,6 @@ from .partitions import (
 
 class UnsupportedFamily(ValueError):
     """The quotient basis is only defined for maximal-depth and one-row triples."""
-
-
-class InsufficientLength(ValueError):
-    """A path of the requested length cannot hold the target partition."""
-
-
-class ShapeMismatch(ValueError):
-    """Tableaux compared for dominance must share length and start."""
 
 
 class StepKind(enum.Enum):
@@ -77,7 +69,7 @@ class Step:
     @property
     def sort_key(self) -> tuple:
         """Key realizing the total order: move-up < dummy < move-down,
-        refined within each kind (see reading.step_compare)."""
+        refined within each kind."""
         p, q = self.remove_row, self.add_row
         if p > q:
             return (0, q, -p)
@@ -198,8 +190,8 @@ def classify(lam: Partition, nu: Partition, mu: Partition) -> TripleClass:
     if len(lam) <= 1 and len(nu) <= 1:
         return TripleClass.ONE_ROW_PAIR
     inter = intersect(lam, nu)
-    lam_skew = _skew_is_horizontal(lam, inter)
-    nu_skew = _skew_is_horizontal(nu, inter)
+    lam_skew = horizontal_strip(lam, inter)
+    nu_skew = horizontal_strip(nu, inter)
     if (
         lam_skew
         and nu_skew
@@ -209,10 +201,6 @@ def classify(lam: Partition, nu: Partition, mu: Partition) -> TripleClass:
     if lam == nu and _is_staircase(lam) and mu.size <= lam[-1]:
         return TripleClass.CO_PIERI_STAIRCASE
     return TripleClass.UNKNOWN
-
-
-def _skew_is_horizontal(outer: Partition, inner: Partition) -> bool:
-    return all(outer.row(i) <= inner.row(i - 1) for i in range(2, len(outer) + 1))
 
 
 def _is_staircase(lam: Partition) -> bool:
@@ -354,52 +342,3 @@ def swap(t: KroneckerTableau, k: int):
     steps[k - 1], steps[k] = steps[k], steps[k - 1]
     return KroneckerTableau(t.start, tuple(steps))
 
-
-def most_dominant(lam: Partition, r: int) -> KroneckerTableau:
-    """The path from the empty partition that idles, then fills lam row by row."""
-    if r < lam.size:
-        raise InsufficientLength(f"need at least {lam.size} steps for {lam!r}")
-    steps = [Step.dummy(0)] * (r - lam.size)
-    for i, part in enumerate(lam, start=1):
-        steps.extend([Step.add(i)] * part)
-    return KroneckerTableau(Partition(), tuple(steps))
-
-
-def _level_dominance(a: Partition, b: Partition) -> Dominance:
-    """Dominance of two levels of a path, which may hold different numbers
-    of boxes.  A level with fewer boxes is the more dominant one: the
-    partitions are compared as if padded by a long first row, which for
-    equal sizes is the classical dominance order.  Realized by comparing
-    tail sums (smaller tails dominate)."""
-    ta = [sum(a[i:]) for i in range(len(a) + 1)]
-    tb = [sum(b[i:]) for i in range(len(b) + 1)]
-    depth = max(len(ta), len(tb))
-    ta += [0] * (depth - len(ta))
-    tb += [0] * (depth - len(tb))
-    ge = all(x <= y for x, y in zip(ta, tb))
-    le = all(x >= y for x, y in zip(ta, tb))
-    if ge and le:
-        return Dominance.EQUAL
-    if ge:
-        return Dominance.GREATER
-    if le:
-        return Dominance.LESS
-    return Dominance.INCOMPARABLE
-
-
-def tableau_dominance(a: KroneckerTableau, b: KroneckerTableau) -> Dominance:
-    """Levelwise dominance over integer levels; requires equal shape data."""
-    if a.length != b.length or a.start != b.start:
-        raise ShapeMismatch("tableaux must share length and start")
-    ge = le = True
-    for x, y in zip(a.levels(), b.levels()):
-        cmp = _level_dominance(x, y)
-        if cmp is Dominance.INCOMPARABLE:
-            return Dominance.INCOMPARABLE
-        if cmp is Dominance.LESS:
-            ge = False
-        elif cmp is Dominance.GREATER:
-            le = False
-    if ge and le:
-        return Dominance.EQUAL
-    return Dominance.GREATER if ge else (Dominance.LESS if le else Dominance.INCOMPARABLE)

@@ -1,0 +1,99 @@
+"""Oracle-equivalence sweeps: the lattice count against the independent
+oracles over whole families of triples.  Each sweep returns its
+mismatches; an empty list means the sweep passed.
+"""
+
+from __future__ import annotations
+
+from .characters import (
+    kostka,
+    lr_coefficient,
+    partitions_of,
+    partitions_up_to,
+    stable_kronecker_oracle,
+)
+from .orbits import enumerate_sstd
+from .partitions import Partition
+from .reading import stable_kronecker_copieri
+
+
+def _sub_partitions(nu: Partition) -> list[Partition]:
+    """All partitions contained in nu."""
+    out: list[Partition] = []
+
+    def build(prefix: list[int], row: int, cap: int):
+        out.append(Partition(prefix))
+        if row >= len(nu):
+            return
+        for part in range(min(cap, nu[row]), 0, -1):
+            prefix.append(part)
+            build(prefix, row + 1, part)
+            prefix.pop()
+
+    build([], 0, nu[0] if nu else 0)
+    return out
+
+
+def _mismatch(lam: Partition, nu: Partition, mu: Partition, got: int, want: int) -> dict:
+    return {
+        "lambda": str(lam),
+        "nu": str(nu),
+        "mu": str(mu),
+        "copieri": got,
+        "oracle": want,
+    }
+
+
+def sweep_maximal_depth(max_nu: int) -> list[dict]:
+    """Lattice count vs Littlewood-Richardson over all maximal-depth
+    triples with |nu| <= max_nu."""
+    mismatches = []
+    for m in range(max_nu + 1):
+        for nu_parts in partitions_of(m):
+            nu = Partition(nu_parts)
+            for lam in _sub_partitions(nu):
+                s = nu.size - lam.size
+                for mu_parts in partitions_of(s):
+                    mu = Partition(mu_parts)
+                    got = stable_kronecker_copieri(lam, nu, mu)
+                    want = lr_coefficient(lam, mu, nu)
+                    if got != want:
+                        mismatches.append(_mismatch(lam, nu, mu, got, want))
+    return mismatches
+
+
+def sweep_one_row(max_part: int, max_mu: int) -> list[dict]:
+    """Lattice count vs character-oracle stable limit over one-row pairs."""
+    mismatches = []
+    for a in range(max_part + 1):
+        for b in range(max_part + 1):
+            lam = Partition((a,) if a else ())
+            nu = Partition((b,) if b else ())
+            for mu in partitions_up_to(max_mu):
+                got = stable_kronecker_copieri(lam, nu, mu)
+                want = stable_kronecker_oracle(lam, nu, mu)
+                if got != want:
+                    mismatches.append(_mismatch(lam, nu, mu, got, want))
+    return mismatches
+
+
+def sweep_dims(max_size: int, max_s: int) -> list[dict]:
+    """Orbit-count identity |SStd| = sum_beta g*K against the oracles,
+    over supported triples with |lam|, |nu| <= max_size and s <= max_s."""
+    mismatches = []
+    shapes = partitions_up_to(max_size)
+    for lam in shapes:
+        for nu in shapes:
+            for s in range(max_s + 1):
+                if s != nu.size - lam.size and not (len(lam) <= 1 and len(nu) <= 1):
+                    continue
+                betas = [Partition(b) for b in partitions_of(s)]
+                gbar = {
+                    beta: stable_kronecker_copieri(lam, nu, beta) for beta in betas
+                }
+                for mu in betas:
+                    got = len(enumerate_sstd(lam, nu, s, mu))
+                    want = sum(gbar[beta] * kostka(beta, mu) for beta in betas)
+                    if got != want:
+                        mismatches.append(_mismatch(lam, nu, mu, got, want))
+    return mismatches

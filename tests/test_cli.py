@@ -1,5 +1,6 @@
 import json
-import os
+
+import pytest
 
 from stablekron.cli import main
 
@@ -202,21 +203,27 @@ def test_oracle_size_mismatch(capsys):
 
 
 def test_bad_partition_text(capsys):
-    import pytest
-
     with pytest.raises(SystemExit):
         main(["count", "-l", "1,2"])
     capsys.readouterr()
 
 
-def test_cache_dir(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("KRON_CACHE_DIR", str(tmp_path))
-    code, out, _ = run(capsys, "count", "-l", "2", "-n", "2", "-m", "2",
-                       "--method", "oracle")
-    assert code == 0 and out.strip() == "2 (oracle)"
-    cache = tmp_path / "characters.cache"
-    assert cache.exists() and cache.read_text().strip()
-    # second run loads the cache and gives the same answer
-    code, out, _ = run(capsys, "count", "-l", "2", "-n", "2", "-m", "2",
-                       "--method", "oracle")
-    assert code == 0 and out.strip() == "2 (oracle)"
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "std", "-l", "4", "-n", "4", "-s", "-2"),
+        ("enumerate", "std0", "-l", "4", "-n", "4", "-s", "-1"),
+        ("verify", "maximal-depth", "--max-nu", "-1"),
+        ("verify", "one-row", "--max-part", "-1"),
+        ("verify", "one-row", "--max-mu", "-1"),
+        ("verify", "dims", "--max-size", "-1"),
+        ("verify", "dims", "--max-s", "-1"),
+    ],
+)
+def test_negative_argument_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")

@@ -2,14 +2,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stablekron.partitions import (
-    Dominance,
     FirstRowTooShort,
     NotContained,
     Partition,
-    SkewPair,
     add_box,
     contains,
-    dominance,
     format_partition,
     horizontal_strip,
     intersect,
@@ -76,41 +73,6 @@ def test_intersect():
     assert intersect(P(""), P("2,1")) == P("")
 
 
-def test_dominance_examples():
-    assert dominance(P("3"), P("2,1")) is Dominance.GREATER
-    assert dominance(P("2,2"), P("3,1")) is Dominance.LESS
-    assert dominance(P("3,1"), P("2,2")) is Dominance.GREATER
-    assert dominance(P("3,1,1"), P("2,2,2")) is Dominance.INCOMPARABLE
-    assert dominance(P("2,1"), P("2,1")) is Dominance.EQUAL
-
-
-def test_dominance_is_partial_order():
-    # reflexive, antisymmetric, transitive on everything of size <= 8
-    universe = all_partitions(8)
-    rel = {}
-    for a in universe:
-        for b in universe:
-            rel[a, b] = dominance(a, b)
-    for a in universe:
-        assert rel[a, a] is Dominance.EQUAL
-    for a in universe:
-        for b in universe:
-            if rel[a, b] is Dominance.GREATER:
-                assert rel[b, a] is Dominance.LESS
-    ge = {
-        (a, b)
-        for (a, b), c in rel.items()
-        if c in (Dominance.GREATER, Dominance.EQUAL)
-    }
-    for a in universe:
-        for b in universe:
-            if (a, b) not in ge:
-                continue
-            for c in universe:
-                if (b, c) in ge:
-                    assert (a, c) in ge
-
-
 def test_pad():
     assert pad(P("2,1"), 6) == P("3,2,1")
     assert pad(P("4"), 9) == P("5,4")
@@ -165,15 +127,12 @@ def test_intersect_is_greatest_lower_bound():
             assert contains(both, a) and contains(both, b)
             for c in universe:
                 if contains(c, a) and contains(c, b):
-                    assert dominance(both, c) in (
-                        Dominance.GREATER,
-                        Dominance.EQUAL,
-                    )
+                    assert contains(c, both)
 
 
 def test_horizontal_strip():
-    assert horizontal_strip(SkewPair(P("6,3,3"), P("6,3,1")))
-    assert not horizontal_strip(SkewPair(P("3,3"), P("2,1")))
-    assert horizontal_strip(SkewPair(P("4,2"), P("4,2")))
+    assert horizontal_strip(P("6,3,3"), P("6,3,1"))
+    assert not horizontal_strip(P("3,3"), P("2,1"))
+    assert horizontal_strip(P("4,2"), P("4,2"))
     with pytest.raises(NotContained):
-        horizontal_strip(SkewPair(P("2"), P("3")))
+        horizontal_strip(P("2"), P("3"))

@@ -4,9 +4,7 @@ import pytest
 
 from stablekron.partitions import Partition, parse_partition
 from stablekron.tableaux import (
-    InsufficientLength,
     KroneckerTableau,
-    ShapeMismatch,
     Step,
     StepKind,
     TripleClass,
@@ -15,13 +13,10 @@ from stablekron.tableaux import (
     classify,
     enumerate_std,
     enumerate_std0,
-    most_dominant,
     parse_step,
     parse_tableau,
     swap,
-    tableau_dominance,
 )
-from stablekron.partitions import Dominance
 
 
 def P(text):
@@ -202,39 +197,3 @@ def test_classify_precedence():
     assert classify(P(""), P("2,1"), P("3")) is TripleClass.MAXIMAL_DEPTH
     # one-row beats the staircase reading of ((1),(1),...)
     assert classify(P("1"), P("1"), P("1")) is TripleClass.ONE_ROW_PAIR
-
-
-# ------------------------------------------------------------ dominance
-
-
-def test_most_dominant_shape():
-    t = most_dominant(P("2,1"), 5)
-    assert str(t) == "d0·d0·a1·a1·a2"
-    assert t.start == P("") and t.end == P("2,1")
-    with pytest.raises(InsufficientLength):
-        most_dominant(P("2,1"), 2)
-
-
-def test_most_dominant_dominates_everything():
-    shapes = ["", "1", "2", "1,1", "3", "2,1", "1,1,1", "2,2", "3,1"]
-    for text in shapes:
-        lam = P(text)
-        for r in range(lam.size, 5):
-            top = most_dominant(lam, r)
-            for t in enumerate_std(P(""), lam, r):
-                assert tableau_dominance(top, t) in (
-                    Dominance.GREATER,
-                    Dominance.EQUAL,
-                )
-
-
-def test_tableau_dominance():
-    a = T("2,1", "a1·a2·a2")
-    b = T("2,1", "a2·a1·a2")
-    assert tableau_dominance(a, b) is Dominance.GREATER
-    assert tableau_dominance(b, a) is Dominance.LESS
-    assert tableau_dominance(a, a) is Dominance.EQUAL
-    with pytest.raises(ShapeMismatch):
-        tableau_dominance(a, T("2,1", "a1·a2"))
-    with pytest.raises(ShapeMismatch):
-        tableau_dominance(a, T("3", "a1·a2·a2"))
