@@ -110,9 +110,9 @@ def kronecker(lam: Partition, mu: Partition, nu: Partition) -> int:
         term = _char(tuple(lam), rho) * _char(tuple(mu), rho) * _char(tuple(nu), rho)
         if term:
             total += term * (nfact // centralizer_order(rho))
-    assert total % nfact == 0, "character sum must be an integer multiple of n!"
-    value = total // nfact
-    assert value >= 0
+    value, rest = divmod(total, nfact)
+    if rest or value < 0:
+        raise ArithmeticError(f"character sum {total} is not a multiple >= 0 of {n}!")
     return value
 
 
@@ -129,24 +129,16 @@ def min_padding(lam: Partition, nu: Partition, mu: Partition) -> int:
 
 
 def stable_kronecker_oracle(lam: Partition, nu: Partition, mu: Partition) -> int:
-    """Limit of the padded coefficients under growing first rows.
+    """Limit of the padded coefficients: one evaluation at
+    n* = max(|lam| + |nu| + |mu|, min_padding), past which it is constant.
 
-    The sequence is weakly increasing and stabilizes once the first rows
-    are long enough, but it can plateau early (e.g. two equal values
-    followed by another increase), so two consecutive agreeing n are only
-    accepted past the conservative bound |lam| + |nu| + |mu| + largest
-    first row.
+    For n >= |p| + p_1, chi^{p[n]} is a character polynomial of weighted
+    degree |p| (Macdonald, Symmetric Functions and Hall Polynomials, I.7
+    Ex. 14); the S_n-mean of a product of cycle-count binomials of weighted
+    degree d is the same for every n >= d (Diaconis-Shahshahani 1994).
     """
-    slack = max((p[0] for p in (lam, nu, mu) if p), default=0)
-    bound = lam.size + nu.size + mu.size + slack
-    n = max(min_padding(lam, nu, mu), bound, 1)
-    prev = padded_kronecker(lam, nu, mu, n)
-    while True:
-        n += 1
-        cur = padded_kronecker(lam, nu, mu, n)
-        if cur == prev:
-            return cur
-        prev = cur
+    n = max(lam.size + nu.size + mu.size, min_padding(lam, nu, mu), 1)
+    return padded_kronecker(lam, nu, mu, n)
 
 
 def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:

@@ -11,7 +11,6 @@ import json
 import sys
 
 from .characters import (
-    SizeMismatch,
     character,
     kostka,
     kronecker,
@@ -20,11 +19,10 @@ from .characters import (
     standard_count,
 )
 from .orbits import boundaries, enumerate_sstd, to_classical
-from .partitions import FirstRowTooShort, Partition, parse_partition
+from .partitions import Partition, parse_partition
 from .reading import is_lattice, reading_word, stable_kronecker
 from .tableaux import (
     TripleClass,
-    UnsupportedFamily,
     classify,
     enumerate_std,
     enumerate_std0,
@@ -208,8 +206,15 @@ def _partition_arg(text: str) -> Partition:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is one "error:" line and exit 2; subparsers inherit this."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stablekron",
         description=(
             "Stable Kronecker coefficients via lattice Kronecker tableaux. "
@@ -271,7 +276,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UnsupportedFamily, SizeMismatch, FirstRowTooShort, SystemExit2, ValueError) as exc:
+    except (SystemExit2, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -45,10 +45,12 @@ def frame_of(k: int, mu: Partition) -> int:
 @dataclass(frozen=True)
 class WeightedOrbit:
     """One ~mu equivalence class; members are sorted, the first is the
-    canonical representative."""
+    canonical representative.  semistandard records whether every swap
+    the closure tried was defined."""
 
     weight: Partition
     members: tuple[KroneckerTableau, ...]
+    semistandard: bool
 
     @property
     def representative(self) -> KroneckerTableau:
@@ -66,30 +68,28 @@ def orbit_of(t: KroneckerTableau, mu: Partition) -> WeightedOrbit:
     """Breadth-first closure of t under defined swaps at non-boundary positions."""
     if t.length != mu.size:
         raise ValueError(f"path length {t.length} != |mu| = {mu.size}")
-    interior = [k for k in range(1, t.length) if k not in boundaries(mu)]
+    bnd = boundaries(mu)
+    interior = [k for k in range(1, t.length) if k not in bnd]
     seen = {t}
     queue = deque([t])
+    semistandard = True
     while queue:
         cur = queue.popleft()
         for k in interior:
             nxt = swap(cur, k)
-            if nxt is not None and nxt not in seen:
+            if nxt is None:
+                semistandard = False
+            elif nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
     members = tuple(sorted(seen, key=lambda m: m.sort_key))
-    return WeightedOrbit(mu, members)
+    return WeightedOrbit(mu, members, semistandard)
 
 
 def is_semistandard(o: WeightedOrbit) -> bool:
-    """True iff every member admits the swap at every non-boundary position."""
-    bnd = boundaries(o.weight)
-    s = o.weight.size
-    return all(
-        swap(m, k) is not None
-        for m in o.members
-        for k in range(1, s)
-        if k not in bnd
-    )
+    """True iff every member admits the swap at every non-boundary position:
+    exactly the swaps orbit_of tried, so the flag it recorded."""
+    return o.semistandard
 
 
 def enumerate_orbits(

@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from stablekron import characters
 from stablekron.characters import (
     SizeMismatch,
     centralizer_order,
@@ -131,6 +132,37 @@ def test_stable_oracle_survives_early_plateau():
     # the padded sequence here is 0, 1, 1, 2, 2, ...: two equal values
     # appear before the true limit, so naive early stopping returns 1
     assert stable_kronecker_oracle(P("4"), P("4"), P("3")) == 2
+
+
+@pytest.mark.parametrize(
+    "lam, nu, mu, n_star",
+    [
+        ("", "", "", 1),
+        ("1", "1", "", 2),
+        ("5", "", "", 10),  # min_padding exceeds the total size
+        ("4", "4", "3", 11),
+        ("7,5,1,1", "6,3,3", "2,2,1", 31),  # criterion 4's triple
+    ],
+)
+def test_stable_oracle_evaluates_once_at_n_star(monkeypatch, lam, nu, mu, n_star):
+    calls = []
+
+    def fake(*args):
+        calls.append(args)
+        return 7
+
+    monkeypatch.setattr(characters, "padded_kronecker", fake)
+    assert stable_kronecker_oracle(P(lam), P(nu), P(mu)) == 7
+    assert calls == [(P(lam), P(nu), P(mu), n_star)]
+
+
+@pytest.mark.parametrize("planted", [2, -3])
+def test_kronecker_rejects_corrupt_character(monkeypatch, planted):
+    # g((2),(2),(2)) = (chi((2))^3 + 1) / 2! with the true chi = 1; a planted
+    # 2 gives 9, no multiple of 2!, and -3 gives -26, a negative multiple
+    monkeypatch.setitem(characters._CHAR_CACHE, ((2,), (2,)), planted)
+    with pytest.raises(ArithmeticError):
+        kronecker(P("2"), P("2"), P("2"))
 
 
 def test_lr_known_values():

@@ -203,9 +203,14 @@ def test_oracle_size_mismatch(capsys):
 
 
 def test_bad_partition_text(capsys):
-    with pytest.raises(SystemExit):
-        main(["count", "-l", "1,2"])
-    capsys.readouterr()
+    for argv in (["count", "-l", "1,2"], ["count", "-l", "1,2", "-n", "1", "-m", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 
@@ -219,6 +224,8 @@ def test_bad_partition_text(capsys):
         ("verify", "one-row", "--max-mu", "-1"),
         ("verify", "dims", "--max-size", "-1"),
         ("verify", "dims", "--max-s", "-1"),
+        # not negative, but too deep for the recursion: the same contract
+        ("enumerate", "std0", "-l", "0", "-n", "1100", "-s", "1100"),
     ],
 )
 def test_negative_argument_is_usage_error(capsys, argv):

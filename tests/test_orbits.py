@@ -11,7 +11,7 @@ from stablekron.orbits import (
     to_classical,
 )
 from stablekron.partitions import parse_partition
-from stablekron.tableaux import enumerate_std0, parse_tableau
+from stablekron.tableaux import enumerate_std0, parse_tableau, swap
 
 
 def P(text):
@@ -69,6 +69,29 @@ def test_semistandard_failure():
     assert orbit.size == 2
     assert not is_semistandard(orbit)
     assert enumerate_sstd(P("2,1"), P("3,3"), 3, P("3")) == []
+
+
+def test_semistandard_flag_matches_definition():
+    # the flag orbit_of records equals trying every interior swap afresh
+    cases = [
+        (P("2,1"), P("3,3,2"), 5, P("2,2,1")),
+        (P("2,1"), P("3,3"), 3, P("3")),
+        (P("4"), P("4"), 3, P("2,1")),
+        (P("3"), P("2"), 3, P("1,1,1")),
+    ]
+    seen = set()
+    for lam, nu, s, mu in cases:
+        bnd = boundaries(mu)
+        for o in enumerate_orbits(lam, nu, s, mu):
+            want = all(
+                swap(m, k) is not None
+                for m in o.members
+                for k in range(1, s)
+                if k not in bnd
+            )
+            assert is_semistandard(o) == want
+            seen.add(want)
+    assert seen == {True, False}
 
 
 def test_orbits_partition_std0():
