@@ -18,7 +18,7 @@ from .characters import (
     stable_kronecker_oracle,
     standard_count,
 )
-from .orbits import boundaries, enumerate_sstd, to_classical
+from .orbits import NotMaximalDepth, boundaries, enumerate_sstd, to_classical
 from .partitions import Partition, parse_partition
 from .reading import is_lattice, reading_word, stable_kronecker
 from .tableaux import (
@@ -32,15 +32,16 @@ from .verify import sweep_dims, sweep_maximal_depth, sweep_one_row
 
 
 def _orbit_json(orbit, with_reading: bool) -> dict:
-    tag = classify(orbit.representative.start, orbit.representative.end, orbit.weight)
     obj = {
         "weight": list(orbit.weight),
         "representative": str(orbit.representative),
         "size": orbit.size,
         "semistandard": True,
     }
-    if tag is TripleClass.MAXIMAL_DEPTH:
+    try:
         obj["classical"] = to_classical(orbit)
+    except NotMaximalDepth:
+        pass
     if with_reading:
         word = reading_word(orbit)
         obj["reading"] = {

@@ -86,26 +86,21 @@ def orbit_of(t: KroneckerTableau, mu: Partition) -> WeightedOrbit:
     return WeightedOrbit(mu, members, semistandard)
 
 
-def is_semistandard(o: WeightedOrbit) -> bool:
-    """True iff every member admits the swap at every non-boundary position:
-    exactly the swaps orbit_of tried, so the flag it recorded."""
-    return o.semistandard
-
-
 def enumerate_orbits(
     lam: Partition, nu: Partition, s: int, mu: Partition
 ) -> list[WeightedOrbit]:
     """All orbits (semistandard or not), ordered by representative."""
     if mu.size != s:
         raise ValueError(f"|mu| = {mu.size} must equal s = {s}")
-    remaining = set(enumerate_std0(lam, nu, s))
+    # Std0 comes in ascending sort_key, so each unseen path is the least
+    # member of its orbit and the orbits come out in representative order.
+    seen: set[KroneckerTableau] = set()
     orbits = []
-    while remaining:
-        seed = min(remaining, key=lambda m: m.sort_key)
-        orb = orbit_of(seed, mu)
-        remaining -= set(orb.members)
-        orbits.append(orb)
-    orbits.sort(key=lambda o: o.representative.sort_key)
+    for t in enumerate_std0(lam, nu, s):
+        if t not in seen:
+            orb = orbit_of(t, mu)
+            seen.update(orb.members)
+            orbits.append(orb)
     return orbits
 
 
@@ -113,7 +108,7 @@ def enumerate_sstd(
     lam: Partition, nu: Partition, s: int, mu: Partition
 ) -> list[WeightedOrbit]:
     """All semistandard orbits for the triple, ordered by representative."""
-    return [o for o in enumerate_orbits(lam, nu, s, mu) if is_semistandard(o)]
+    return [o for o in enumerate_orbits(lam, nu, s, mu) if o.semistandard]
 
 
 def to_classical(o: WeightedOrbit) -> list[list]:

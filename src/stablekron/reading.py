@@ -13,13 +13,7 @@ from dataclasses import dataclass
 
 from .orbits import WeightedOrbit, enumerate_sstd, frame_of
 from .partitions import Partition
-from .tableaux import (
-    KroneckerTableau,
-    Step,
-    TripleClass,
-    UnsupportedFamily,
-    classify,
-)
+from .tableaux import KroneckerTableau, Step, UnsupportedFamily
 
 
 @dataclass(frozen=True)
@@ -62,13 +56,8 @@ def stable_kronecker_copieri(lam: Partition, nu: Partition, mu: Partition) -> in
     """The lattice count: semistandard orbits with lattice reading word.
 
     Only defined on the families with a quotient basis; raises
-    UnsupportedFamily otherwise.
+    UnsupportedFamily (from enumerate_std0) otherwise.
     """
-    tag = classify(lam, nu, mu)
-    if tag not in (TripleClass.MAXIMAL_DEPTH, TripleClass.ONE_ROW_PAIR):
-        raise UnsupportedFamily(
-            f"triple ({lam!r}, {nu!r}, {mu!r}) classifies as {tag.value}"
-        )
     orbits = enumerate_sstd(lam, nu, mu.size, mu)
     return sum(1 for o in orbits if is_lattice(reading_word(o)))
 

@@ -241,8 +241,10 @@ def _step_candidates(cur: Partition):
     return out
 
 
-def enumerate_std(lam: Partition, nu: Partition, s: int) -> list[KroneckerTableau]:
-    """All paths of s integral steps from lam to nu, depth-first in step order."""
+def _walk(lam: Partition, nu: Partition, s: int, moves) -> list[KroneckerTableau]:
+    """The one depth-first path walker.  moves(cur, prefix, left) yields, in
+    ascending step order, the (step, next) pairs from cur that can still
+    reach nu in left further steps; so paths come out in ascending sort_key."""
     results: list[KroneckerTableau] = []
     prefix: list[Step] = []
 
@@ -251,9 +253,7 @@ def enumerate_std(lam: Partition, nu: Partition, s: int) -> list[KroneckerTablea
             if cur == nu:
                 results.append(KroneckerTableau(lam, tuple(prefix)))
             return
-        for st, nxt in _step_candidates(cur):
-            if _needed_steps(nxt, nu) > remaining - 1:
-                continue
+        for st, nxt in moves(cur, prefix, remaining - 1):
             prefix.append(st)
             walk(nxt, remaining - 1)
             prefix.pop()
@@ -262,8 +262,20 @@ def enumerate_std(lam: Partition, nu: Partition, s: int) -> list[KroneckerTablea
     return results
 
 
+def enumerate_std(lam: Partition, nu: Partition, s: int) -> list[KroneckerTableau]:
+    """All paths of s integral steps from lam to nu, depth-first in step order."""
+
+    def moves(cur, prefix, left):
+        return (sn for sn in _step_candidates(cur) if _needed_steps(sn[1], nu) <= left)
+
+    return _walk(lam, nu, s, moves)
+
+
+_ONE_ROW_STEPS = (Step.remove(1), Step.dummy(1), Step.add(1))
+
+
 def enumerate_std0(lam: Partition, nu: Partition, s: int) -> list[KroneckerTableau]:
-    """The quotient-basis subset of enumerate_std.
+    """The quotient-basis subset of enumerate_std, in the same order.
 
     Maximal depth (s = |nu| - |lam|): the whole of Std, which consists of
     pure add paths.  One-row pairs: paths over {r(1), d(1), a(1)} whose
@@ -271,62 +283,30 @@ def enumerate_std0(lam: Partition, nu: Partition, s: int) -> list[KroneckerTable
     d(1) counts too) is at most |lam|.  Anything else is unsupported.
     """
     if s == nu.size - lam.size:
-        return _enumerate_pure_add(lam, nu, s)
-    if len(lam) <= 1 and len(nu) <= 1:
-        return _enumerate_one_row(lam, nu, s)
-    raise UnsupportedFamily(
-        f"no quotient basis for ({lam!r}, {nu!r}, s={s})"
-    )
 
+        def moves(cur, prefix, left):
+            for q in range(1, len(cur) + 2):
+                nxt = add_box(cur, q)
+                if nxt is not None and contains(nxt, nu):
+                    yield Step.add(q), nxt
 
-def _enumerate_pure_add(lam: Partition, nu: Partition, s: int) -> list[KroneckerTableau]:
-    if not contains(lam, nu):
-        return []
-    results: list[KroneckerTableau] = []
-    prefix: list[Step] = []
+    elif len(lam) <= 1 and len(nu) <= 1:
 
-    def walk(cur: Partition, remaining: int):
-        if remaining == 0:
-            if cur == nu:
-                results.append(KroneckerTableau(lam, tuple(prefix)))
-            return
-        for q in range(1, len(cur) + 2):
-            nxt = add_box(cur, q)
-            if nxt is None or not contains(nxt, nu):
-                continue
-            prefix.append(Step.add(q))
-            walk(nxt, remaining - 1)
-            prefix.pop()
+        def moves(cur, prefix, left):
+            spent = sum(p.remove_row for p in prefix) >= lam.size
+            for st in _ONE_ROW_STEPS:
+                if st.remove_row and spent:
+                    continue
+                nxt = apply_step(cur, st)
+                if nxt is not None and abs(nxt.size - nu.size) <= left:
+                    yield st, nxt
 
-    walk(lam, s)
-    return results
-
-
-_ONE_ROW_STEPS = (Step.remove(1), Step.dummy(1), Step.add(1))
-
-
-def _enumerate_one_row(lam: Partition, nu: Partition, s: int) -> list[KroneckerTableau]:
-    budget = lam.size
-    results: list[KroneckerTableau] = []
-    prefix: list[Step] = []
-
-    def walk(cur: Partition, remaining: int, removals: int):
-        if remaining == 0:
-            if cur == nu:
-                results.append(KroneckerTableau(lam, tuple(prefix)))
-            return
-        for st in _ONE_ROW_STEPS:
-            if st.remove_row and removals + 1 > budget:
-                continue
-            nxt = apply_step(cur, st)
-            if nxt is None or abs(nxt.size - nu.size) > remaining - 1:
-                continue
-            prefix.append(st)
-            walk(nxt, remaining - 1, removals + (1 if st.remove_row else 0))
-            prefix.pop()
-
-    walk(lam, s, 0)
-    return results
+    else:
+        raise UnsupportedFamily(
+            f"no quotient basis for lambda={lam}, nu={nu}, s={s}: only "
+            "maximal-depth (|lambda| + s = |nu|) and one-row triples have one"
+        )
+    return _walk(lam, nu, s, moves)
 
 
 def swap(t: KroneckerTableau, k: int):

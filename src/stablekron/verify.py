@@ -15,6 +15,7 @@ from .characters import (
 from .orbits import enumerate_sstd
 from .partitions import Partition
 from .reading import stable_kronecker_copieri
+from .tableaux import UnsupportedFamily
 
 
 def _sub_partitions(nu: Partition) -> list[Partition]:
@@ -85,12 +86,11 @@ def sweep_dims(max_size: int, max_s: int) -> list[dict]:
     for lam in shapes:
         for nu in shapes:
             for s in range(max_s + 1):
-                if s != nu.size - lam.size and not (len(lam) <= 1 and len(nu) <= 1):
-                    continue
                 betas = [Partition(b) for b in partitions_of(s)]
-                gbar = {
-                    beta: stable_kronecker_copieri(lam, nu, beta) for beta in betas
-                }
+                try:
+                    gbar = {b: stable_kronecker_copieri(lam, nu, b) for b in betas}
+                except UnsupportedFamily:
+                    continue
                 for mu in betas:
                     got = len(enumerate_sstd(lam, nu, s, mu))
                     want = sum(gbar[beta] * kostka(beta, mu) for beta in betas)

@@ -218,13 +218,18 @@ def test_standard_count():
         ) == math.factorial(n)
 
 
-def test_character_cache_roundtrip(tmp_path):
-    character(P("3,2"), (2, 2, 1))  # populate some entries
+def test_character_cache_roundtrip(tmp_path, monkeypatch):
+    cache = {}
+    monkeypatch.setattr(characters, "_CHAR_CACHE", cache)
+    character(P("3,2"), (2, 2, 1))  # fills a fresh memo
+    character(P("2,1"), (3,))
+    cache[((), ())] = 1
+    saved = dict(cache)
     path = tmp_path / "characters.cache"
     save_character_cache(str(path))
-    assert path.read_text().strip()
-    loaded = load_character_cache(str(path))
-    assert loaded > 0
     lines = path.read_text().splitlines()
-    assert lines == sorted(lines)
+    assert lines == sorted(lines) and len(lines) == len(saved)
     assert all(line.count("|") == 2 for line in lines)
+    cache.clear()
+    assert load_character_cache(str(path)) == len(saved)
+    assert cache == saved

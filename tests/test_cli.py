@@ -52,7 +52,9 @@ def test_count_copieri_unsupported_is_domain_error(capsys):
     )
     assert code == 2
     assert not out
-    assert err.startswith("error:")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "lambda=2,1, nu=2,1" in lines[0] and "Partition(" not in lines[0]
 
 
 def test_enumerate_std0(capsys):

@@ -6,7 +6,6 @@ from stablekron.orbits import (
     enumerate_orbits,
     enumerate_sstd,
     frame_of,
-    is_semistandard,
     orbit_of,
     to_classical,
 )
@@ -67,7 +66,7 @@ def test_semistandard_failure():
     # not admit the swap at position 2
     orbit = orbit_of(T("2,1", "a1·a2·a2"), P("3"))
     assert orbit.size == 2
-    assert not is_semistandard(orbit)
+    assert not orbit.semistandard
     assert enumerate_sstd(P("2,1"), P("3,3"), 3, P("3")) == []
 
 
@@ -89,7 +88,7 @@ def test_semistandard_flag_matches_definition():
                 for k in range(1, s)
                 if k not in bnd
             )
-            assert is_semistandard(o) == want
+            assert o.semistandard == want
             seen.add(want)
     assert seen == {True, False}
 
@@ -107,13 +106,29 @@ def test_orbits_partition_std0():
         assert set(members) == set(enumerate_std0(lam, nu, s))
 
 
+def test_orbit_representatives_ascend_and_are_least():
+    cases = [
+        (P("2,1"), P("3,3,2"), 5, P("2,2,1")),
+        (P("2,1"), P("3,3"), 3, P("1,1,1")),
+        (P("4"), P("4"), 3, P("2,1")),
+        (P("3"), P("2"), 3, P("1,1,1")),
+        (P("3"), P("3"), 4, P("2,2")),
+    ]
+    for lam, nu, s, mu in cases:
+        orbits = enumerate_orbits(lam, nu, s, mu)
+        keys = [o.representative.sort_key for o in orbits]
+        assert len(orbits) > 1 and keys == sorted(set(keys))
+        for o in orbits:
+            assert o.representative.sort_key == min(m.sort_key for m in o.members)
+
+
 def test_sstd_subset_of_orbits():
     lam, nu, s, mu = P("2,1"), P("3,3,2"), 5, P("2,2,1")
     sstd = enumerate_sstd(lam, nu, s, mu)
     assert len(sstd) == 4
     every = enumerate_orbits(lam, nu, s, mu)
     assert set(sstd) <= set(every)
-    assert all(is_semistandard(o) for o in sstd)
+    assert all(o.semistandard for o in sstd)
 
 
 def test_sstd_empty_case():

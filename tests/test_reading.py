@@ -10,9 +10,11 @@ from stablekron.reading import (
     stable_kronecker,
     stable_kronecker_copieri,
 )
-from stablekron.characters import stable_kronecker_oracle
+from stablekron.characters import partitions_up_to, stable_kronecker_oracle
 from stablekron.tableaux import (
+    TripleClass,
     UnsupportedFamily,
+    classify,
     parse_step,
     parse_tableau,
 )
@@ -80,6 +82,24 @@ def test_copieri_count_one_row():
 def test_copieri_rejects_other_families():
     with pytest.raises(UnsupportedFamily):
         stable_kronecker_copieri(P("2,1"), P("2,1"), P("1"))
+
+
+def test_copieri_supported_exactly_on_classified_families():
+    # enumerate_std0 alone decides support; it must agree with classify
+    supported = (TripleClass.MAXIMAL_DEPTH, TripleClass.ONE_ROW_PAIR)
+    tags = set()
+    for lam in partitions_up_to(4):
+        for nu in partitions_up_to(4):
+            for mu in partitions_up_to(3):
+                tag = classify(lam, nu, mu)
+                tags.add(tag)
+                try:
+                    stable_kronecker_copieri(lam, nu, mu)
+                    raised = False
+                except UnsupportedFamily:
+                    raised = True
+                assert raised == (tag not in supported), (lam, nu, mu, tag)
+    assert tags == set(TripleClass)
 
 
 def test_router_prefers_lattice_count():

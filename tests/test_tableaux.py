@@ -140,6 +140,27 @@ def test_std0_one_row_budget():
     assert len(enumerate_std0(P("4"), P("4"), 3)) == 7
 
 
+BOTH = (enumerate_std, enumerate_std0)
+
+
+@pytest.mark.parametrize(
+    "lam,nu,s,calls",
+    [
+        ("2,1", "3,3,2", 5, BOTH),  # maximal depth
+        ("", "3,2,1", 6, BOTH),
+        ("4", "4", 3, BOTH),  # one-row
+        ("3", "2", 5, BOTH),
+        ("2,1", "2,1", 2, (enumerate_std,)),  # no quotient basis
+        ("2", "2,1", 3, (enumerate_std,)),
+    ],
+)
+def test_paths_come_in_ascending_sort_key(lam, nu, s, calls):
+    for enumerate_paths in calls:
+        keys = [t.sort_key for t in enumerate_paths(P(lam), P(nu), s)]
+        assert len(keys) > 1
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
 def test_std0_unsupported():
     with pytest.raises(UnsupportedFamily):
         enumerate_std0(P("2,1"), P("2,1"), 1)
