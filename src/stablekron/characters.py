@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Iterator
 
-from .partitions import Partition, contains, pad
+from .partitions import Partition, contains, format_partition, pad
 
 
 class SizeMismatch(ValueError):
@@ -95,7 +95,7 @@ def character(lam: Partition, rho) -> int:
     """chi^lam at cycle type rho, by rim-hook recursion."""
     rho_parts = Partition(rho)
     if lam.size != rho_parts.size:
-        raise SizeMismatch(f"|{lam!r}| != |{rho_parts!r}|")
+        raise SizeMismatch(f"|{lam}| != |{rho_parts}|")
     return _char(tuple(lam), tuple(rho_parts))
 
 
@@ -209,7 +209,7 @@ def kostka(beta: Partition, content) -> int:
     """
     content = tuple(content)
     if beta.size != sum(content):
-        raise SizeMismatch(f"|{beta!r}| != |{content}|")
+        raise SizeMismatch(f"|{beta}| != |{format_partition(content)}|")
     if beta.size == 0:
         return 1
     remaining = list(content)

@@ -22,11 +22,11 @@ from .orbits import NotMaximalDepth, boundaries, enumerate_sstd, to_classical
 from .partitions import Partition, parse_partition
 from .reading import is_lattice, reading_word, stable_kronecker
 from .tableaux import (
+    KroneckerTableau,
     TripleClass,
     classify,
     enumerate_std,
     enumerate_std0,
-    swap,
 )
 from .verify import sweep_dims, sweep_maximal_depth, sweep_one_row
 
@@ -53,17 +53,22 @@ def _orbit_json(orbit, with_reading: bool) -> dict:
 
 
 def _orbit_dot(orbits) -> str:
+    """Swap graph of semistandard orbits.  Every interior swap is defined
+    on their members, so the neighbour at k is the member with steps k and
+    k+1 exchanged; an edge goes from the lesser path to the greater."""
     lines = ["digraph swaps {"]
     for idx, orbit in enumerate(orbits):
         bnd = boundaries(orbit.weight)
         for m in orbit.members:
             lines.append(f'  "{idx}:{m}";')
+            steps = m.steps
             for k in range(1, m.length):
-                if k in bnd:
+                if k in bnd or not steps[k - 1] < steps[k]:
                     continue
-                other = swap(m, k)
-                if other is not None and other.sort_key > m.sort_key:
-                    lines.append(f'  "{idx}:{m}" -> "{idx}:{other}" [label="{k}"];')
+                other = KroneckerTableau(
+                    m.start, steps[: k - 1] + (steps[k], steps[k - 1]) + steps[k + 1 :]
+                )
+                lines.append(f'  "{idx}:{m}" -> "{idx}:{other}" [label="{k}"];')
     lines.append("}")
     return "\n".join(lines)
 

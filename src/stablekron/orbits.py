@@ -5,12 +5,27 @@ orbit of a path is its closure under swaps at positions interior to a
 frame.  An orbit is semistandard when every such swap is defined at every
 member, and for maximal-depth shapes this is exactly column-strictness of
 the classical filling.
+
+Semistandard orbits are found without any swap: group the Std0 paths by
+their frame multisets (for each frame, the sorted steps in it).  A group
+is a semistandard orbit exactly when it holds every arrangement of its
+multisets, prod_c mu_c! / prod_i m_i! paths.  Three facts prove it:
+adjacent swaps inside a frame generate that frame's symmetric group; the
+level a frame ends on depends only on its multiset; and Std0 membership
+does not depend on the order inside a frame (maximal depth: pure adds that
+reach nu; one-row: the removal budget counts removals only).  So a swap
+never leaves a group, an orbit whose swaps are all defined is a whole
+group, and a whole group has all its swaps defined.  The breadth-first
+closure (orbit_of, enumerate_orbits) stays as the reference, and as the
+only way to see orbits that are not semistandard.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .partitions import Partition
 from .tableaux import KroneckerTableau, StepKind, enumerate_std0, swap
@@ -45,8 +60,8 @@ def frame_of(k: int, mu: Partition) -> int:
 @dataclass(frozen=True)
 class WeightedOrbit:
     """One ~mu equivalence class; members are sorted, the first is the
-    canonical representative.  semistandard records whether every swap
-    the closure tried was defined."""
+    canonical representative.  semistandard records whether every interior
+    swap is defined at every member."""
 
     weight: Partition
     members: tuple[KroneckerTableau, ...]
@@ -104,11 +119,45 @@ def enumerate_orbits(
     return orbits
 
 
+# A frame's steps as sorted (remove_row, add_row) pairs name its multiset.
+_STEP_KEY = attrgetter("remove_row", "add_row")
+
+
+def _arrangements(frames: tuple[tuple, ...]) -> int:
+    """Distinct orderings of every sorted frame: prod_c mu_c! / prod_i m_i!."""
+    total = 1
+    for frame in frames:
+        total *= math.factorial(len(frame))
+        run = 1
+        for prev, cur in zip(frame, frame[1:]):
+            run = run + 1 if cur == prev else 1
+            total //= run  # exact: every partial quotient is a multinomial
+    return total
+
+
 def enumerate_sstd(
     lam: Partition, nu: Partition, s: int, mu: Partition
 ) -> list[WeightedOrbit]:
-    """All semistandard orbits for the triple, ordered by representative."""
-    return [o for o in enumerate_orbits(lam, nu, s, mu) if o.semistandard]
+    """All semistandard orbits for the triple, ordered by representative.
+
+    Groups Std0 by frame multisets and keeps the groups that hold every
+    arrangement (see the module docstring for the proof); members come in
+    Std0's ascending sort_key order, so each group's first path is its
+    representative and the groups come out in representative order.
+    """
+    if mu.size != s:
+        raise ValueError(f"|mu| = {mu.size} must equal s = {s}")
+    cuts = [0, *sorted(boundaries(mu)), s]
+    spans = list(zip(cuts, cuts[1:]))
+    groups: dict[tuple, list[KroneckerTableau]] = {}
+    for t in enumerate_std0(lam, nu, s):
+        key = tuple(tuple(sorted(map(_STEP_KEY, t.steps[a:b]))) for a, b in spans)
+        groups.setdefault(key, []).append(t)
+    return [
+        WeightedOrbit(mu, tuple(members), True)
+        for key, members in groups.items()
+        if len(members) == _arrangements(key)
+    ]
 
 
 def to_classical(o: WeightedOrbit) -> list[list]:

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stablekron.cli import main
+from stablekron.orbits import boundaries, enumerate_sstd
+from stablekron.partitions import parse_partition
+from stablekron.tableaux import swap
 
 
 def run(capsys, *argv):
@@ -137,6 +143,39 @@ def test_enumerate_dot(capsys):
     assert out.rstrip().endswith("}")
 
 
+def _dot_by_swaps(orbits):
+    """The swap graph drawn by calling swap at every interior position."""
+    lines = ["digraph swaps {"]
+    for idx, orbit in enumerate(orbits):
+        bnd = boundaries(orbit.weight)
+        for m in orbit.members:
+            lines.append(f'  "{idx}:{m}";')
+            for k in range(1, m.length):
+                if k in bnd:
+                    continue
+                other = swap(m, k)
+                if other is not None and other.sort_key > m.sort_key:
+                    lines.append(f'  "{idx}:{m}" -> "{idx}:{other}" [label="{k}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "lam, nu, mu",
+    [
+        ("2,1", "3,3,2", "2,2,1"),  # maximal depth
+        ("3", "2", "2,1"),  # one-row
+        ("1", "3,2", "2,2"),  # maximal depth with a1·a1 inside a frame
+    ],
+)
+def test_enumerate_dot_equals_swap_graph(capsys, lam, nu, mu):
+    code, out, _ = run(capsys, "enumerate", "sstd", "-l", lam, "-n", nu, "-m", mu, "--dot")
+    assert code == 0
+    lam, nu, mu = map(parse_partition, (lam, nu, mu))
+    assert out == _dot_by_swaps(enumerate_sstd(lam, nu, mu.size, mu))
+    assert " -> " in out
+
+
 def test_enumerate_is_deterministic(capsys):
     args = ("enumerate", "sstd", "-l", "2,1", "-n", "3,3,2", "-m", "2,2,1")
     _, first, _ = run(capsys, *args)
@@ -204,6 +243,17 @@ def test_oracle_size_mismatch(capsys):
     assert code == 2 and err.startswith("error:")
 
 
+def test_size_mismatch_messages_use_partition_text(capsys):
+    for argv, message in (
+        (("oracle", "char", "-l", "2,1", "-r", "2"), "error: |2,1| != |2|"),
+        (("oracle", "kostka", "-b", "2", "-m", "1,1,1"), "error: |2| != |1,1,1|"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.splitlines() == [message]
+        assert "Partition(" not in err
+
+
 def test_bad_partition_text(capsys):
     for argv in (["count", "-l", "1,2"], ["count", "-l", "1,2", "-n", "1", "-m", "1"]):
         with pytest.raises(SystemExit) as exc:
@@ -236,3 +286,89 @@ def test_negative_argument_is_usage_error(capsys, argv):
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def run_any(*argv):
+    """Exit code, stdout and stderr of one call, argparse's exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_usage_error(argv):
+    code, out, err = run_any(*argv)
+    assert code == 2, argv
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), (argv, err)
+
+
+_PARTS = st.lists(st.integers(1, 5), min_size=1, max_size=4).map(
+    lambda parts: [str(p) for p in sorted(parts, reverse=True)]
+)
+
+
+@st.composite
+def malformed_partition_text(draw):
+    """Partition text that is wrong by construction."""
+    tokens = draw(_PARTS)
+    at = draw(st.integers(0, len(tokens) - 1))
+    how = draw(st.sampled_from(("empty", "junk", "negative", "increasing", "zero")))
+    if how == "empty":  # "1,,2", ",1", "1,"
+        tokens.insert(draw(st.integers(0, len(tokens))), "")
+    elif how == "junk":
+        tokens[at] = draw(st.sampled_from(("x", "1x", "1 2", "2\t1", "1.5", "--1", "0x1")))
+    elif how == "negative":
+        tokens[at] = "-" + tokens[at]
+    elif how == "increasing":  # "2,3"
+        tokens.append(str(int(tokens[-1]) + draw(st.integers(1, 3))))
+    else:  # a zero with a positive part after it: "2,0,1"
+        tokens.insert(at, "0")
+    pad = draw(st.sampled_from(("", " ", "\t")))
+    return pad + ",".join(tokens) + pad
+
+
+@settings(deadline=None)
+@given(
+    malformed_partition_text(),
+    st.sampled_from(("--lam", "--nu", "--mu")),
+    st.sampled_from(
+        (("count",), ("classify",), ("enumerate", "sstd"), ("oracle", "stable"))
+    ),
+)
+def test_malformed_partition_is_usage_error(text, flag, command):
+    assert_usage_error([*command, "-l", "1", "-n", "2", "-m", "1", f"{flag}={text}"])
+
+
+def test_blank_partition_text_is_the_empty_partition():
+    for text in ("", " ", "\t", "0", " 0 "):
+        code, out, err = run_any("count", f"--lam={text}", "-n", "1", "-m", "1")
+        assert (code, out, err) == (0, "1 (copieri)\n", "")
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.sampled_from(("std", "std0")),
+    st.sampled_from(("0", "1")),
+    st.sampled_from(("0", "1")),
+    st.one_of(st.integers(max_value=-1), st.integers(10**5, 10**12)),
+)
+def test_negative_or_huge_length_is_usage_error(kind, lam, nu, s):
+    # the path walker recurses once per step and its first descent on these
+    # triples is at least s/2 deep, so a huge length hits the recursion
+    # limit (which Hypothesis raises by a few thousand) after few steps
+    assert_usage_error(["enumerate", kind, "-l", lam, "-n", nu, "-s", str(s)])
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from(("maximal-depth", "one-row", "dims")),
+    st.sampled_from(("--max-nu", "--max-part", "--max-mu", "--max-size", "--max-s")),
+    st.integers(max_value=-1),
+)
+def test_negative_verify_bound_is_usage_error(family, bound, value):
+    assert_usage_error(["verify", family, f"{bound}={value}"])

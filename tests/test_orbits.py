@@ -9,7 +9,8 @@ from stablekron.orbits import (
     orbit_of,
     to_classical,
 )
-from stablekron.partitions import parse_partition
+from stablekron.characters import partitions_of
+from stablekron.partitions import Partition, contains, parse_partition
 from stablekron.tableaux import enumerate_std0, parse_tableau, swap
 
 
@@ -129,6 +130,39 @@ def test_sstd_subset_of_orbits():
     every = enumerate_orbits(lam, nu, s, mu)
     assert set(sstd) <= set(every)
     assert all(o.semistandard for o in sstd)
+
+
+def _equivalence_triples():
+    """Every maximal-depth triple with |nu| <= 6 and every one-row triple
+    with rows <= 4 and |mu| <= 4, as (lam, nu, s, mu)."""
+    def upto(n):
+        return [Partition(p) for m in range(n + 1) for p in partitions_of(m)]
+
+    for nu in upto(6):
+        for lam in upto(nu.size):
+            if contains(lam, nu):
+                s = nu.size - lam.size
+                for mu in map(Partition, partitions_of(s)):
+                    yield lam, nu, s, mu
+    rows = [Partition((a,)) for a in range(5)]
+    for lam in rows:
+        for nu in rows:
+            for mu in upto(4):
+                yield lam, nu, mu.size, mu
+
+
+def test_sstd_equals_semistandard_bfs_orbits():
+    # the multiset grouping against the swap closure it replaces: the same
+    # orbits, members, order and flag
+    count = 0
+    for lam, nu, s, mu in _equivalence_triples():
+        want = [o for o in enumerate_orbits(lam, nu, s, mu) if o.semistandard]
+        got = enumerate_sstd(lam, nu, s, mu)
+        assert [(o.weight, o.members, o.semistandard) for o in got] == [
+            (o.weight, o.members, o.semistandard) for o in want
+        ], (lam, nu, mu)
+        count += len(got)
+    assert count > 1000
 
 
 def test_sstd_empty_case():

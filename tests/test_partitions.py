@@ -119,6 +119,25 @@ def test_add_remove_inverse():
                 assert add_box(shrunk, i) == lam
 
 
+def test_add_and_remove_box_equal_validated_construction():
+    # add_box/remove_box skip Partition's validation; each result must be
+    # exactly what the validating constructor gives, or None where that
+    # constructor refuses the changed parts
+    for lam in all_partitions(8):
+        for i in range(1, lam.length + 3):
+            for op, delta in ((add_box, 1), (remove_box, -1)):
+                parts = list(lam) + [0, 0]
+                parts[i - 1] += delta
+                try:
+                    want = Partition(parts)
+                except ValueError:
+                    want = None
+                got = op(lam, i)
+                assert got == want, (op.__name__, lam, i)
+                if want is not None:
+                    assert type(got) is Partition and repr(got) == repr(want)
+
+
 def test_intersect_is_greatest_lower_bound():
     universe = all_partitions(6)
     for a in universe:
