@@ -18,7 +18,7 @@ from .characters import (
     stable_kronecker_oracle,
     standard_count,
 )
-from .orbits import NotMaximalDepth, boundaries, enumerate_sstd, to_classical
+from .orbits import NotMaximalDepth, enumerate_sstd, frames, to_classical
 from .partitions import Partition, parse_partition
 from .reading import is_lattice, reading_word, stable_kronecker
 from .tableaux import (
@@ -31,7 +31,7 @@ from .tableaux import (
 from .verify import sweep_dims, sweep_maximal_depth, sweep_one_row
 
 
-def _orbit_json(orbit, with_reading: bool) -> dict:
+def _orbit_json(orbit) -> dict:
     obj = {
         "weight": list(orbit.weight),
         "representative": str(orbit.representative),
@@ -42,13 +42,12 @@ def _orbit_json(orbit, with_reading: bool) -> dict:
         obj["classical"] = to_classical(orbit)
     except NotMaximalDepth:
         pass
-    if with_reading:
-        word = reading_word(orbit)
-        obj["reading"] = {
-            "steps": [str(st) for st in word.steps],
-            "frames": list(word.frames),
-            "lattice": is_lattice(word),
-        }
+    word = reading_word(orbit)
+    obj["reading"] = {
+        "steps": [str(st) for st in word.steps],
+        "frames": list(word.frames),
+        "lattice": is_lattice(word),
+    }
     return obj
 
 
@@ -58,12 +57,12 @@ def _orbit_dot(orbits) -> str:
     k+1 exchanged; an edge goes from the lesser path to the greater."""
     lines = ["digraph swaps {"]
     for idx, orbit in enumerate(orbits):
-        bnd = boundaries(orbit.weight)
+        fr = frames(orbit.weight)
         for m in orbit.members:
             lines.append(f'  "{idx}:{m}";')
             steps = m.steps
             for k in range(1, m.length):
-                if k in bnd or not steps[k - 1] < steps[k]:
+                if fr[k - 1] != fr[k] or not steps[k - 1] < steps[k]:
                     continue
                 other = KroneckerTableau(
                     m.start, steps[: k - 1] + (steps[k], steps[k - 1]) + steps[k + 1 :]
@@ -129,7 +128,7 @@ def cmd_enumerate(args) -> int:
             json.dumps(
                 {
                     "count": len(orbits),
-                    "orbits": [_orbit_json(o, with_reading=True) for o in orbits],
+                    "orbits": [_orbit_json(o) for o in orbits],
                 }
             )
         )

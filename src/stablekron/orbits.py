@@ -1,29 +1,31 @@
 """Frames, weight orbits and semistandard Kronecker tableaux.
 
-A weight composition mu cuts the step positions 1..s into frames; the
-orbit of a path is its closure under swaps at positions interior to a
-frame.  An orbit is semistandard when every such swap is defined at every
-member, and for maximal-depth shapes this is exactly column-strictness of
-the classical filling.
+A weight composition mu cuts the step positions 1..s into frames:
+frames(mu) gives the frame number of each position, and nothing else
+reads mu's layout.  The orbit of a path is its closure under swaps of
+adjacent steps in the same frame.  An orbit is semistandard when every
+such swap is defined at every member, and for maximal-depth shapes this
+is exactly column-strictness of the classical filling.
 
-Semistandard orbits are found without any swap: group the Std0 paths by
-their frame multisets (for each frame, the sorted steps in it).  A group
-is a semistandard orbit exactly when it holds every arrangement of its
-multisets, prod_c mu_c! / prod_i m_i! paths.  Three facts prove it:
-adjacent swaps inside a frame generate that frame's symmetric group; the
-level a frame ends on depends only on its multiset; and Std0 membership
-does not depend on the order inside a frame (maximal depth: pure adds that
-reach nu; one-row: the removal budget counts removals only).  So a swap
-never leaves a group, an orbit whose swaps are all defined is a whole
-group, and a whole group has all its swaps defined.  The breadth-first
-closure (orbit_of, enumerate_orbits) stays as the reference, and as the
-only way to see orbits that are not semistandard.
+Semistandard orbits are found without any swap: key each Std0 path on
+its sorted (frame, step) pairs, the multiset of steps in every frame.  A
+group is a semistandard orbit exactly when it holds every arrangement of
+those multisets, that is when its size times prod_i m_i! (m_i the runs of
+equal pairs in the key) is prod_c mu_c!.  Three facts prove it: adjacent
+swaps inside a frame generate that frame's symmetric group; the level a
+frame ends on depends only on its multiset; and Std0 membership does not
+depend on the order inside a frame (maximal depth: pure adds that reach
+nu; one-row: the removal budget counts removals only).  So a swap never
+leaves a group, an orbit whose swaps are all defined is a whole group,
+and a whole group has all its swaps defined.  The breadth-first closure
+(orbit_of, enumerate_orbits) stays as the reference, and as the only way
+to see orbits that are not semistandard.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -35,26 +37,10 @@ class NotMaximalDepth(ValueError):
     """Classical fillings only exist for pure-add (maximal-depth) orbits."""
 
 
-def boundaries(mu: Partition) -> frozenset[int]:
-    """Partial sums of mu excluding the last: the frame boundaries."""
-    out = []
-    acc = 0
-    for part in mu[:-1]:
-        acc += part
-        out.append(acc)
-    return frozenset(out)
-
-
-def frame_of(k: int, mu: Partition) -> int:
-    """Frame index c with [mu]_{c-1} < k <= [mu]_c, for 1 <= k <= |mu|."""
-    if k < 1:
-        raise IndexError(f"step index {k} out of range")
-    acc = 0
-    for c, part in enumerate(mu, start=1):
-        acc += part
-        if k <= acc:
-            return c
-    raise IndexError(f"step index {k} out of range for weight {mu!r}")
+def frames(mu: Partition) -> tuple[int, ...]:
+    """The frame number of each step position 1..|mu|: frame c holds mu_c
+    positions, so (2,2,1) gives (1,1,2,2,3)."""
+    return tuple(c for c, part in enumerate(mu, start=1) for _ in range(part))
 
 
 @dataclass(frozen=True)
@@ -75,16 +61,13 @@ class WeightedOrbit:
     def size(self) -> int:
         return len(self.members)
 
-    def __hash__(self):
-        return hash((self.weight, self.representative))
-
 
 def orbit_of(t: KroneckerTableau, mu: Partition) -> WeightedOrbit:
-    """Breadth-first closure of t under defined swaps at non-boundary positions."""
+    """Breadth-first closure of t under defined swaps inside a frame."""
     if t.length != mu.size:
         raise ValueError(f"path length {t.length} != |mu| = {mu.size}")
-    bnd = boundaries(mu)
-    interior = [k for k in range(1, t.length) if k not in bnd]
+    fr = frames(mu)
+    interior = [k for k in range(1, t.length) if fr[k - 1] == fr[k]]
     seen = {t}
     queue = deque([t])
     semistandard = True
@@ -119,20 +102,8 @@ def enumerate_orbits(
     return orbits
 
 
-# A frame's steps as sorted (remove_row, add_row) pairs name its multiset.
+# A step as its (remove_row, add_row) pair, which sorts as a plain tuple.
 _STEP_KEY = attrgetter("remove_row", "add_row")
-
-
-def _arrangements(frames: tuple[tuple, ...]) -> int:
-    """Distinct orderings of every sorted frame: prod_c mu_c! / prod_i m_i!."""
-    total = 1
-    for frame in frames:
-        total *= math.factorial(len(frame))
-        run = 1
-        for prev, cur in zip(frame, frame[1:]):
-            run = run + 1 if cur == prev else 1
-            total //= run  # exact: every partial quotient is a multinomial
-    return total
 
 
 def enumerate_sstd(
@@ -140,23 +111,27 @@ def enumerate_sstd(
 ) -> list[WeightedOrbit]:
     """All semistandard orbits for the triple, ordered by representative.
 
-    Groups Std0 by frame multisets and keeps the groups that hold every
-    arrangement (see the module docstring for the proof); members come in
-    Std0's ascending sort_key order, so each group's first path is its
-    representative and the groups come out in representative order.
+    Groups Std0 on sorted (frame, step) pairs and keeps the groups that
+    hold every arrangement, len * prod_i m_i! == prod_c mu_c! (see the
+    module docstring for the proof); members come in Std0's ascending
+    sort_key order, so each group's first path is its representative and
+    the groups come out in representative order.
     """
     if mu.size != s:
         raise ValueError(f"|mu| = {mu.size} must equal s = {s}")
-    cuts = [0, *sorted(boundaries(mu)), s]
-    spans = list(zip(cuts, cuts[1:]))
+    paths = enumerate_std0(lam, nu, s)
+    # Built after the walk: a huge mu ends the walk in RecursionError, a
+    # usage error, but its frame tuple would first exhaust memory.
+    fr = frames(mu)
+    full = math.prod(map(math.factorial, mu))
     groups: dict[tuple, list[KroneckerTableau]] = {}
-    for t in enumerate_std0(lam, nu, s):
-        key = tuple(tuple(sorted(map(_STEP_KEY, t.steps[a:b]))) for a, b in spans)
+    for t in paths:
+        key = tuple(sorted(zip(fr, map(_STEP_KEY, t.steps))))
         groups.setdefault(key, []).append(t)
     return [
         WeightedOrbit(mu, tuple(members), True)
         for key, members in groups.items()
-        if len(members) == _arrangements(key)
+        if full == len(members) * math.prod(map(math.factorial, Counter(key).values()))
     ]
 
 
@@ -177,8 +152,8 @@ def to_classical(o: WeightedOrbit) -> list[list]:
         [None] * lam.row(i) + [0] * (nu.row(i) - lam.row(i))
         for i in range(1, len(nu) + 1)
     ]
-    for k, st in enumerate(rep.steps, start=1):
+    for st, level, frame in zip(rep.steps, levels[1:], frames(o.weight)):
         row = st.add_row
-        col = levels[k].row(row)  # the box just added is rightmost in its row
-        rows[row - 1][col - 1] = frame_of(k, o.weight)
+        col = level.row(row)  # the box just added is rightmost in its row
+        rows[row - 1][col - 1] = frame
     return rows

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .orbits import WeightedOrbit, enumerate_sstd, frame_of
+from .orbits import WeightedOrbit, enumerate_sstd, frames
 from .partitions import Partition
 from .tableaux import KroneckerTableau, Step, UnsupportedFamily
 
@@ -33,10 +33,9 @@ def reading_word(o: WeightedOrbit) -> ReadingWord:
 
 
 def reading_word_of(t: KroneckerTableau, mu: Partition) -> ReadingWord:
-    pairs = [
-        (st, frame_of(k, mu)) for k, st in enumerate(t.steps, start=1)
-    ]
-    pairs.sort(key=lambda sf: (sf[0].sort_key, -sf[1]))
+    pairs = sorted(
+        zip(t.steps, frames(mu), strict=True), key=lambda sf: (sf[0].sort_key, -sf[1])
+    )
     return ReadingWord(
         tuple(st for st, _ in pairs), tuple(f for _, f in pairs)
     )

@@ -283,12 +283,17 @@ def enumerate_std0(lam: Partition, nu: Partition, s: int) -> list[KroneckerTable
     d(1) counts too) is at most |lam|.  Anything else is unsupported.
     """
     if s == nu.size - lam.size:
+        # Pure adds reach nu only from inside it, and then every level stays
+        # inside nu, so a row grows only while it is shorter than nu's.
+        if not contains(lam, nu):
+            return []
 
         def moves(cur, prefix, left):
             for q in range(1, len(cur) + 2):
-                nxt = add_box(cur, q)
-                if nxt is not None and contains(nxt, nu):
-                    yield Step.add(q), nxt
+                if cur.row(q) < nu.row(q):
+                    nxt = add_box(cur, q)
+                    if nxt is not None:
+                        yield Step.add(q), nxt
 
     elif len(lam) <= 1 and len(nu) <= 1:
 

@@ -13,26 +13,14 @@ from .characters import (
     stable_kronecker_oracle,
 )
 from .orbits import enumerate_sstd
-from .partitions import Partition
+from .partitions import Partition, contains
 from .reading import stable_kronecker_copieri
 from .tableaux import UnsupportedFamily
 
 
 def _sub_partitions(nu: Partition) -> list[Partition]:
     """All partitions contained in nu."""
-    out: list[Partition] = []
-
-    def build(prefix: list[int], row: int, cap: int):
-        out.append(Partition(prefix))
-        if row >= len(nu):
-            return
-        for part in range(min(cap, nu[row]), 0, -1):
-            prefix.append(part)
-            build(prefix, row + 1, part)
-            prefix.pop()
-
-    build([], 0, nu[0] if nu else 0)
-    return out
+    return [p for p in partitions_up_to(nu.size) if contains(p, nu)]
 
 
 def _mismatch(lam: Partition, nu: Partition, mu: Partition, got: int, want: int) -> dict:

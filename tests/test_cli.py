@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stablekron.cli import main
-from stablekron.orbits import boundaries, enumerate_sstd
+from stablekron.orbits import enumerate_sstd, frames
 from stablekron.partitions import parse_partition
 from stablekron.tableaux import swap
 
@@ -147,11 +147,11 @@ def _dot_by_swaps(orbits):
     """The swap graph drawn by calling swap at every interior position."""
     lines = ["digraph swaps {"]
     for idx, orbit in enumerate(orbits):
-        bnd = boundaries(orbit.weight)
+        fr = frames(orbit.weight)
         for m in orbit.members:
             lines.append(f'  "{idx}:{m}";')
             for k in range(1, m.length):
-                if k in bnd:
+                if fr[k - 1] != fr[k]:
                     continue
                 other = swap(m, k)
                 if other is not None and other.sort_key > m.sort_key:
@@ -278,6 +278,9 @@ def test_bad_partition_text(capsys):
         ("verify", "dims", "--max-s", "-1"),
         # not negative, but too deep for the recursion: the same contract
         ("enumerate", "std0", "-l", "0", "-n", "1100", "-s", "1100"),
+        # a weight whose frame layout would not fit in memory
+        ("count", "-l", "0", "-n", "0", "-m", "1000000000000"),
+        ("enumerate", "sstd", "-l", "0", "-n", "0", "-m", "1000000000000"),
     ],
 )
 def test_negative_argument_is_usage_error(capsys, argv):

@@ -2,10 +2,9 @@ import pytest
 
 from stablekron.orbits import (
     NotMaximalDepth,
-    boundaries,
     enumerate_orbits,
     enumerate_sstd,
-    frame_of,
+    frames,
     orbit_of,
     to_classical,
 )
@@ -22,20 +21,11 @@ def T(start, text):
     return parse_tableau(P(start), text)
 
 
-def test_boundaries():
-    assert boundaries(P("2,2,1")) == frozenset({2, 4})
-    assert boundaries(P("5")) == frozenset()
-    assert boundaries(P("")) == frozenset()
-    assert boundaries(P("1,1,1")) == frozenset({1, 2})
-
-
-def test_frame_of():
-    mu = P("2,2,1")
-    assert [frame_of(k, mu) for k in range(1, 6)] == [1, 1, 2, 2, 3]
-    with pytest.raises(IndexError):
-        frame_of(0, mu)
-    with pytest.raises(IndexError):
-        frame_of(6, mu)
+def test_frames():
+    assert frames(P("2,2,1")) == (1, 1, 2, 2, 3)
+    assert frames(P("5")) == (1, 1, 1, 1, 1)
+    assert frames(P("")) == ()
+    assert frames(P("1,1,1")) == (1, 2, 3)
 
 
 def test_orbit_of_pure_add():
@@ -81,13 +71,13 @@ def test_semistandard_flag_matches_definition():
     ]
     seen = set()
     for lam, nu, s, mu in cases:
-        bnd = boundaries(mu)
+        fr = frames(mu)
         for o in enumerate_orbits(lam, nu, s, mu):
             want = all(
                 swap(m, k) is not None
                 for m in o.members
                 for k in range(1, s)
-                if k not in bnd
+                if fr[k - 1] == fr[k]
             )
             assert o.semistandard == want
             seen.add(want)

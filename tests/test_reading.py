@@ -59,6 +59,10 @@ def test_reading_word_one_row():
     # move-up first, then the dummy, then the move-down
     assert [str(st) for st in word.steps] == ["r1", "d1", "a1"]
     assert word.frames == (1, 1, 2)
+    # a weight of another size has no frame for some step
+    for mu in (P("2"), P("2,2")):
+        with pytest.raises(ValueError):
+            reading_word_of(T("4", "r1·d1·a1"), mu)
 
 
 def test_is_lattice():

@@ -2,7 +2,9 @@ import itertools
 
 import pytest
 
-from stablekron.partitions import Partition, parse_partition
+from stablekron import tableaux
+from stablekron.characters import partitions_up_to
+from stablekron.partitions import Partition, contains, parse_partition
 from stablekron.tableaux import (
     KroneckerTableau,
     Step,
@@ -120,6 +122,19 @@ def test_std_endpoints_from_empty():
 def test_std_contains_std0():
     for lam, nu, s in [(P("4"), P("4"), 3), (P("2,1"), P("3,3,2"), 5)]:
         assert set(enumerate_std0(lam, nu, s)) <= set(enumerate_std(lam, nu, s))
+    # at maximal depth Std0 is the whole of Std, in the same order; a start
+    # outside nu has no path at all
+    shapes = partitions_up_to(6)
+    checked = 0
+    for nu in shapes:
+        for lam in shapes:
+            if lam.size <= nu.size:
+                s = nu.size - lam.size
+                want = enumerate_std(lam, nu, s)
+                assert enumerate_std0(lam, nu, s) == want, (lam, nu)
+                assert bool(want) == contains(lam, nu), (lam, nu)
+                checked += contains(lam, nu)
+    assert checked > 100
 
 
 def test_std0_maximal_depth_is_pure_add():
@@ -129,8 +144,13 @@ def test_std0_maximal_depth_is_pure_add():
         assert all(st.kind is StepKind.MOVE_DOWN for st in p.steps)
 
 
-def test_std0_maximal_depth_not_contained():
+def test_std0_maximal_depth_not_contained(monkeypatch):
     assert enumerate_std0(P("2,2"), P("3,1"), 0) == []
+    # a start outside nu is answered without building a single level
+    built = []
+    monkeypatch.setattr(tableaux, "add_box", lambda *args: built.append(args))
+    assert enumerate_std0(P("1,1,1,1"), P("12,12,12"), 32) == []
+    assert built == []
 
 
 def test_std0_one_row_budget():
