@@ -21,11 +21,26 @@ def T(start, text):
     return parse_tableau(P(start), text)
 
 
-def test_frames():
+def _boundaries(mu):
+    """Positions k after which the frame changes."""
+    fr = frames(mu)
+    return frozenset(k for k in range(1, len(fr)) if fr[k - 1] != fr[k])
+
+
+def test_boundaries():
+    assert _boundaries(P("2,2,1")) == frozenset({2, 4})
+    assert _boundaries(P("5")) == frozenset()
+    assert _boundaries(P("")) == frozenset()
+    assert _boundaries(P("1,1,1")) == frozenset({1, 2})
+
+
+def test_frame_of():
     assert frames(P("2,2,1")) == (1, 1, 2, 2, 3)
     assert frames(P("5")) == (1, 1, 1, 1, 1)
     assert frames(P("")) == ()
     assert frames(P("1,1,1")) == (1, 2, 3)
+    for parts in partitions_of(6):
+        assert len(frames(Partition(parts))) == 6
 
 
 def test_orbit_of_pure_add():
