@@ -20,7 +20,7 @@ from .characters import (
 )
 from .orbits import NotMaximalDepth, enumerate_sstd, frames, to_classical
 from .partitions import Partition, parse_partition
-from .reading import is_lattice, reading_word, stable_kronecker
+from .reading import is_lattice, reading_word, stable_kronecker, stable_kronecker_copieri
 from .tableaux import (
     KroneckerTableau,
     TripleClass,
@@ -76,8 +76,10 @@ def cmd_count(args) -> int:
     lam, nu, mu = args.lam, args.nu, args.mu
     if args.method == "oracle":
         value, method = stable_kronecker_oracle(lam, nu, mu), "oracle"
+    elif args.method == "copieri":
+        value, method = stable_kronecker_copieri(lam, nu, mu), "copieri"
     else:
-        value, method = stable_kronecker(lam, nu, mu, fallback=args.method == "auto")
+        value, method = stable_kronecker(lam, nu, mu)
     if args.format == "json":
         print(
             json.dumps(
@@ -99,9 +101,9 @@ def cmd_enumerate(args) -> int:
     lam, nu = args.lam, args.nu
     if args.kind in ("std", "std0"):
         if args.s is None:
-            raise SystemExit2("enumerate std/std0 requires -s")
+            raise ValueError("enumerate std/std0 requires -s")
         if args.s < 0:
-            raise SystemExit2(f"-s must be >= 0, got {args.s}")
+            raise ValueError(f"-s must be >= 0, got {args.s}")
         paths = (
             enumerate_std(lam, nu, args.s)
             if args.kind == "std"
@@ -115,7 +117,7 @@ def cmd_enumerate(args) -> int:
                 print(str(p))
         return 0
     if args.mu is None:
-        raise SystemExit2("enumerate sstd/latt requires -m")
+        raise ValueError("enumerate sstd/latt requires -m")
     mu = args.mu
     orbits = enumerate_sstd(lam, nu, mu.size, mu)
     if args.kind == "latt":
@@ -145,7 +147,7 @@ def cmd_verify(args) -> int:
     for name in ("max_nu", "max_part", "max_mu", "max_size", "max_s"):
         value = getattr(args, name)
         if value < 0:
-            raise SystemExit2(f"--{name.replace('_', '-')} must be >= 0, got {value}")
+            raise ValueError(f"--{name.replace('_', '-')} must be >= 0, got {value}")
     if args.family == "maximal-depth":
         mismatches = sweep_maximal_depth(args.max_nu)
     elif args.family == "one-row":
@@ -198,10 +200,6 @@ def cmd_oracle(args) -> int:
     else:
         print(value)
     return 0
-
-
-class SystemExit2(Exception):
-    """Usage/domain error mapped to exit code 2."""
 
 
 def _partition_arg(text: str) -> Partition:
@@ -281,7 +279,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SystemExit2, ValueError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from .partitions import Partition
-from .tableaux import KroneckerTableau, StepKind, enumerate_std0, swap
+from .tableaux import KroneckerTableau, enumerate_std0, swap
 
 
 class NotMaximalDepth(ValueError):
@@ -143,7 +143,7 @@ def to_classical(o: WeightedOrbit) -> list[list]:
     elsewhere.
     """
     rep = o.representative
-    if any(st.kind is not StepKind.MOVE_DOWN or st.remove_row for st in rep.steps):
+    if any(st.remove_row or not st.add_row for st in rep.steps):
         raise NotMaximalDepth("orbit is not a pure-add (maximal-depth) orbit")
     lam = rep.start
     levels = rep.levels()

@@ -38,10 +38,6 @@ class Partition(tuple):
     def size(self) -> int:
         return sum(self)
 
-    @property
-    def length(self) -> int:
-        return len(self)
-
     def row(self, i: int) -> int:
         """Part in row i (1-indexed), 0 beyond the last row."""
         return self[i - 1] if 1 <= i <= len(self) else 0

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .characters import stable_kronecker_oracle
 from .orbits import WeightedOrbit, enumerate_sstd, frames
 from .partitions import Partition
 from .tableaux import KroneckerTableau, Step, UnsupportedFamily
@@ -61,17 +62,11 @@ def stable_kronecker_copieri(lam: Partition, nu: Partition, mu: Partition) -> in
     return sum(1 for o in orbits if is_lattice(reading_word(o)))
 
 
-def stable_kronecker(
-    lam: Partition, nu: Partition, mu: Partition, fallback: bool = False
-) -> tuple[int, str]:
+def stable_kronecker(lam: Partition, nu: Partition, mu: Partition) -> tuple[int, str]:
     """Convenience router: the lattice count where supported, else the
-    character oracle when fallback is requested.  Returns (value, method)
-    so the engine used is never hidden."""
+    character oracle.  Returns (value, method) so the engine used is never
+    hidden."""
     try:
         return stable_kronecker_copieri(lam, nu, mu), "copieri"
     except UnsupportedFamily:
-        if not fallback:
-            raise
-    from .characters import stable_kronecker_oracle
-
-    return stable_kronecker_oracle(lam, nu, mu), "oracle"
+        return stable_kronecker_oracle(lam, nu, mu), "oracle"

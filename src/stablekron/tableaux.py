@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import total_ordering
+from functools import cache, total_ordering
 
 from .partitions import (
     Partition,
@@ -25,12 +25,6 @@ from .partitions import (
 
 class UnsupportedFamily(ValueError):
     """The quotient basis is only defined for maximal-depth and one-row triples."""
-
-
-class StepKind(enum.Enum):
-    MOVE_UP = "move-up"
-    DUMMY = "dummy"
-    MOVE_DOWN = "move-down"
 
 
 @total_ordering
@@ -57,14 +51,6 @@ class Step:
     @classmethod
     def dummy(cls, i: int) -> "Step":
         return cls(i, i)
-
-    @property
-    def kind(self) -> StepKind:
-        if self.remove_row > self.add_row:
-            return StepKind.MOVE_UP
-        if self.remove_row == self.add_row:
-            return StepKind.DUMMY
-        return StepKind.MOVE_DOWN
 
     @property
     def sort_key(self) -> tuple:
@@ -144,10 +130,6 @@ class KroneckerTableau:
             out.append(nxt)
         return out
 
-    @property
-    def end(self) -> Partition:
-        return self.levels()[-1]
-
     def is_valid(self) -> bool:
         cur = self.start
         for st in self.steps:
@@ -190,12 +172,10 @@ def classify(lam: Partition, nu: Partition, mu: Partition) -> TripleClass:
     if len(lam) <= 1 and len(nu) <= 1:
         return TripleClass.ONE_ROW_PAIR
     inter = intersect(lam, nu)
-    lam_skew = horizontal_strip(lam, inter)
-    nu_skew = horizontal_strip(nu, inter)
     if (
-        lam_skew
-        and nu_skew
-        and mu.size == max(lam.size - inter.size, nu.size - inter.size)
+        horizontal_strip(lam, inter)
+        and horizontal_strip(nu, inter)
+        and mu.size == _needed_steps(lam, nu)
     ):
         return TripleClass.CO_PIERI_HORIZONTAL
     if lam == nu and _is_staircase(lam) and mu.size <= lam[-1]:
@@ -214,31 +194,16 @@ def _is_staircase(lam: Partition) -> bool:
 
 def _needed_steps(cur: Partition, nu: Partition) -> int:
     """Lower bound on steps to reach nu: each step removes and adds at most one box."""
-    shared = intersect(cur, nu).size
+    shared = sum(map(min, cur, nu))
     return max(cur.size - shared, nu.size - shared)
 
 
-def _step_candidates(cur: Partition):
-    """All legal (step, result) pairs from cur, in ascending step order."""
-    out = [(Step.dummy(0), cur)]
-    for q in range(1, len(cur) + 2):
-        bigger = add_box(cur, q)
-        if bigger is not None:
-            out.append((Step.add(q), bigger))
-    for p in range(1, len(cur) + 1):
-        mid = remove_box(cur, p)
-        if mid is None:
-            continue
-        out.append((Step.dummy(p), cur))
-        out.append((Step.remove(p), mid))
-        for q in range(1, len(mid) + 2):
-            if q == p:
-                continue
-            bigger = add_box(mid, q)
-            if bigger is not None:
-                out.append((Step(p, q), bigger))
-    out.sort(key=lambda sr: sr[0].sort_key)
-    return out
+@cache
+def _steps(rows: int) -> tuple[Step, ...]:
+    """Every step a partition with this many rows could take, in ascending
+    step order: remove in rows 0..rows, add in rows 0..rows + 1.  Row 0 is
+    no change; apply_step decides which of them are legal."""
+    return tuple(sorted(Step(p, q) for p in range(rows + 1) for q in range(rows + 2)))
 
 
 def _walk(lam: Partition, nu: Partition, s: int, moves) -> list[KroneckerTableau]:
@@ -266,7 +231,10 @@ def enumerate_std(lam: Partition, nu: Partition, s: int) -> list[KroneckerTablea
     """All paths of s integral steps from lam to nu, depth-first in step order."""
 
     def moves(cur, prefix, left):
-        return (sn for sn in _step_candidates(cur) if _needed_steps(sn[1], nu) <= left)
+        for st in _steps(len(cur)):
+            nxt = apply_step(cur, st)
+            if nxt is not None and _needed_steps(nxt, nu) <= left:
+                yield st, nxt
 
     return _walk(lam, nu, s, moves)
 

@@ -81,6 +81,17 @@ def test_enumerate_std0(capsys):
     )
 
 
+def test_enumerate_std(capsys):
+    code, out, _ = run(capsys, "enumerate", "std", "-l", "1", "-n", "1", "-s", "1")
+    assert code == 0
+    assert out.splitlines() == ["2 tableaux", "d1", "d0"]
+    code, out, _ = run(
+        capsys, "enumerate", "std", "-l", "1", "-n", "1", "-s", "1", "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out) == {"count": 2, "tableaux": ["d1", "d0"]}
+
+
 def test_enumerate_std_requires_length(capsys):
     code, _, err = run(capsys, "enumerate", "std", "-l", "4", "-n", "4")
     assert code == 2 and "requires -s" in err

@@ -113,9 +113,7 @@ def test_router_prefers_lattice_count():
 
 def test_router_fallback():
     lam, nu, mu = P("2,1"), P("2,1"), P("1")
-    with pytest.raises(UnsupportedFamily):
-        stable_kronecker(lam, nu, mu)
-    value, method = stable_kronecker(lam, nu, mu, fallback=True)
+    value, method = stable_kronecker(lam, nu, mu)
     assert method == "oracle"
     assert value == stable_kronecker_oracle(lam, nu, mu)
 

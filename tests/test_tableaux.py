@@ -8,7 +8,6 @@ from stablekron.partitions import Partition, contains, parse_partition
 from stablekron.tableaux import (
     KroneckerTableau,
     Step,
-    StepKind,
     TripleClass,
     UnsupportedFamily,
     apply_step,
@@ -30,14 +29,6 @@ def T(start, text):
 
 
 # ---------------------------------------------------------------- steps
-
-
-def test_step_kinds():
-    assert Step.add(2).kind is StepKind.MOVE_DOWN
-    assert Step.remove(1).kind is StepKind.MOVE_UP
-    assert Step.dummy(0).kind is StepKind.DUMMY
-    assert Step(3, 1).kind is StepKind.MOVE_UP
-    assert Step(1, 3).kind is StepKind.MOVE_DOWN
 
 
 def test_step_str_parse_roundtrip():
@@ -87,7 +78,7 @@ def test_apply_step():
 def test_tableau_levels_and_end():
     t = T("4", "r1·d1·a1")
     assert t.levels() == [P("4"), P("3"), P("3"), P("4")]
-    assert t.end == P("4")
+    assert t.levels()[-1] == P("4")
     assert t.is_valid()
 
 
@@ -119,6 +110,48 @@ def test_std_endpoints_from_empty():
     assert reachable == set(map(P, ["", "1", "2", "1,1", "3", "2,1", "1,1,1"]))
 
 
+def _reference_step(lam, p, q):
+    """lam with a box removed in row p, then one added in row q (row 0: no
+    change), or None when either half is not a partition.  Judged by
+    Partition's own validation alone."""
+    parts = list(lam) + [0] * 5
+    try:
+        if p:
+            parts[p - 1] -= 1
+            Partition(parts)
+        if q:
+            parts[q - 1] += 1
+        return Partition(parts)
+    except ValueError:
+        return None
+
+
+def test_std_is_every_path_in_step_order():
+    # Each step changes the number of rows by at most one, so an s-step
+    # path between partitions of at most 3 rows, s <= 3, never uses row 5.
+    shapes = partitions_up_to(3)
+    checked = 0
+    for lam in shapes:
+        paths = [(lam, ())]
+        for s in range(4):
+            if s:
+                paths = [
+                    (nxt, steps + (Step(p, q),))
+                    for cur, steps in paths
+                    for p in range(5)
+                    for q in range(5)
+                    if (nxt := _reference_step(cur, p, q)) is not None
+                ]
+            for nu in shapes:
+                want = sorted(
+                    (steps for end, steps in paths if end == nu),
+                    key=lambda steps: [st.sort_key for st in steps],
+                )
+                assert [t.steps for t in enumerate_std(lam, nu, s)] == want, (lam, nu, s)
+                checked += 1
+    assert checked == 196
+
+
 def test_std_contains_std0():
     for lam, nu, s in [(P("4"), P("4"), 3), (P("2,1"), P("3,3,2"), 5)]:
         assert set(enumerate_std0(lam, nu, s)) <= set(enumerate_std(lam, nu, s))
@@ -141,7 +174,7 @@ def test_std0_maximal_depth_is_pure_add():
     paths = enumerate_std0(P("2,1"), P("3,3"), 3)
     assert [str(p) for p in paths] == ["a1·a2·a2", "a2·a1·a2"]
     for p in paths:
-        assert all(st.kind is StepKind.MOVE_DOWN for st in p.steps)
+        assert all(st.remove_row == 0 < st.add_row for st in p.steps)
 
 
 def test_std0_maximal_depth_not_contained(monkeypatch):
