@@ -150,56 +150,49 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     """
     if lam.size + mu.size != nu.size or not contains(lam, nu):
         return 0
-    if mu.size == 0:
-        return 1
+    return _fillings(nu, lam, mu, lattice=True)
+
+
+def _fillings(outer: Partition, inner: Partition, content: tuple, lattice: bool) -> int:
+    """Fillings of outer/inner holding content[v - 1] entries v, weakly
+    increasing along rows and strictly down columns.
+
+    Cells are filled in reverse reading order: rows top to bottom, each
+    row right to left, so an entry lies between the cell above plus 1 (1
+    when that cell is in inner or absent) and the cell to its right
+    (len(content) at the row's end).  With lattice, a value v > 1 is
+    placed only while fewer v than v - 1 have been placed: every prefix of
+    the reverse reading word is then a lattice word, and a bad prefix is
+    cut at once.
+    """
+    grid = [[0] * row for row in outer]  # 0 in every cell of inner
     cells = [
         (i, j)
-        for i in range(len(nu))
-        for j in range(lam.row(i + 1), nu[i])
+        for i, row in enumerate(outer)
+        for j in range(row - 1, inner.row(i + 1) - 1, -1)
     ]
-    grid: dict[tuple[int, int], int] = {}
-    remaining = list(mu)
-    count = 0
+    placed = [0] * (len(content) + 1)  # placed[v]: entries v so far
 
-    def fill(idx: int):
-        nonlocal count
-        if idx == len(cells):
-            if _is_lr_word(_reverse_word(nu, lam, grid)):
-                count += 1
-            return
-        i, j = cells[idx]
-        lo = grid.get((i, j - 1), 1)
-        for v in range(lo, len(remaining) + 1):
-            if remaining[v - 1] == 0:
+    def fill(k: int) -> int:
+        if k == len(cells):
+            return 1
+        i, j = cells[k]
+        row = grid[i]
+        lo = grid[i - 1][j] + 1 if i else 1
+        hi = row[j + 1] if j + 1 < len(row) else len(content)
+        count = 0
+        for v in range(lo, hi + 1):
+            if placed[v] == content[v - 1]:
                 continue
-            above = grid.get((i - 1, j))
-            if above is not None and above >= v:
+            if lattice and v > 1 and placed[v] == placed[v - 1]:
                 continue
-            grid[(i, j)] = v
-            remaining[v - 1] -= 1
-            fill(idx + 1)
-            remaining[v - 1] += 1
-            del grid[(i, j)]
+            row[j] = v
+            placed[v] += 1
+            count += fill(k + 1)
+            placed[v] -= 1
+        return count
 
-    fill(0)
-    return count
-
-
-def _reverse_word(nu, lam, grid) -> list[int]:
-    word = []
-    for i in range(len(nu)):
-        for j in range(nu[i] - 1, lam.row(i + 1) - 1, -1):
-            word.append(grid[(i, j)])
-    return word
-
-
-def _is_lr_word(word: list[int]) -> bool:
-    counts: dict[int, int] = {}
-    for v in word:
-        counts[v] = counts.get(v, 0) + 1
-        if v > 1 and counts[v] > counts.get(v - 1, 0):
-            return False
-    return True
+    return fill(0)
 
 
 def kostka(beta: Partition, content) -> int:
@@ -210,36 +203,7 @@ def kostka(beta: Partition, content) -> int:
     content = tuple(content)
     if beta.size != sum(content):
         raise SizeMismatch(f"|{beta}| != |{format_partition(content)}|")
-    if beta.size == 0:
-        return 1
-    remaining = list(content)
-    row_above: list[list[int]] = []
-    count = 0
-
-    def fill(i: int, j: int, row: list[int]):
-        nonlocal count
-        if i == len(beta):
-            count += 1
-            return
-        if j == beta[i]:
-            row_above.append(row)
-            fill(i + 1, 0, [])
-            row_above.pop()
-            return
-        lo = row[j - 1] if j else 1
-        for v in range(lo, len(remaining) + 1):
-            if remaining[v - 1] == 0:
-                continue
-            if i and row_above[-1][j] >= v:
-                continue
-            remaining[v - 1] -= 1
-            row.append(v)
-            fill(i, j + 1, row)
-            row.pop()
-            remaining[v - 1] += 1
-
-    fill(0, 0, [])
-    return count
+    return _fillings(beta, Partition(), content, lattice=False)
 
 
 def standard_count(mu: Partition) -> int:

@@ -174,7 +174,7 @@ _CASE_LABELS = {
 
 
 def cmd_classify(args) -> int:
-    tag = classify(args.lam, args.nu, args.mu)
+    tag = classify(args.lam, args.nu, args.mu.size)
     if args.format == "json":
         print(json.dumps({"class": tag.value, "label": _CASE_LABELS[tag]}))
     else:

@@ -24,7 +24,10 @@ class Partition(tuple):
     """
 
     def __new__(cls, parts=()):
-        parts = tuple(int(p) for p in parts)
+        given = tuple(parts)
+        parts = tuple(int(p) for p in given)
+        if parts != given:
+            raise ValueError(f"parts must be integers, got {given}")
         while parts and parts[-1] == 0:
             parts = parts[:-1]
         for i, p in enumerate(parts):

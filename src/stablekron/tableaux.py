@@ -78,19 +78,17 @@ class Step:
 
 
 def parse_step(text: str) -> Step:
-    """Inverse of str(Step): "a2", "r1", "d0" or "m(p,q)"."""
+    """Inverse of str(Step): "a2", "r1", "d0" or "m(p,q)".  Anything else
+    raises ValueError naming the text."""
     text = text.strip()
-    if text.startswith("m(") and text.endswith(")"):
-        p, q = (int(x) for x in text[2:-1].split(","))
-        return Step(p, q)
-    kind, arg = text[0], int(text[1:])
-    if kind == "a":
-        return Step.add(arg)
-    if kind == "r":
-        return Step.remove(arg)
-    if kind == "d":
-        return Step.dummy(arg)
-    raise ValueError(f"cannot parse step {text!r}")
+    try:
+        if text.startswith("m(") and text.endswith(")"):
+            p, q = (int(x) for x in text[2:-1].split(","))
+            return Step(p, q)
+        make = {"a": Step.add, "r": Step.remove, "d": Step.dummy}[text[:1]]
+        return make(int(text[1:]))
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"cannot parse step {text!r}") from exc
 
 
 def apply_step(lam: Partition, st: Step):
@@ -149,7 +147,10 @@ class KroneckerTableau:
 def parse_tableau(start: Partition, text: str) -> KroneckerTableau:
     """Parse the "r1·d1·a1" format (empty string is the empty path)."""
     text = text.strip()
-    steps = tuple(parse_step(tok) for tok in text.split("·")) if text else ()
+    try:
+        steps = tuple(parse_step(tok) for tok in text.split("·")) if text else ()
+    except ValueError as exc:
+        raise ValueError(f"cannot parse tableau {text!r}: {exc}") from exc
     return KroneckerTableau(start, steps)
 
 
@@ -161,13 +162,14 @@ class TripleClass(enum.Enum):
     UNKNOWN = "unknown"
 
 
-def classify(lam: Partition, nu: Partition, mu: Partition) -> TripleClass:
+def classify(lam: Partition, nu: Partition, s: int) -> TripleClass:
     """Classify a triple into the families named by the counting rule.
 
-    Precedence: maximal depth, then one-row, then the two further co-Pieri
-    shapes; overlapping triples take the first matching tag.
+    Only the weight's size s = |mu| matters.  Precedence: maximal depth,
+    then one-row, then the two further co-Pieri shapes; overlapping
+    triples take the first matching tag.
     """
-    if lam.size + mu.size == nu.size:
+    if lam.size + s == nu.size:
         return TripleClass.MAXIMAL_DEPTH
     if len(lam) <= 1 and len(nu) <= 1:
         return TripleClass.ONE_ROW_PAIR
@@ -175,10 +177,10 @@ def classify(lam: Partition, nu: Partition, mu: Partition) -> TripleClass:
     if (
         horizontal_strip(lam, inter)
         and horizontal_strip(nu, inter)
-        and mu.size == _needed_steps(lam, nu)
+        and s == _needed_steps(lam, nu)
     ):
         return TripleClass.CO_PIERI_HORIZONTAL
-    if lam == nu and _is_staircase(lam) and mu.size <= lam[-1]:
+    if lam == nu and _is_staircase(lam) and s <= lam[-1]:
         return TripleClass.CO_PIERI_STAIRCASE
     return TripleClass.UNKNOWN
 
@@ -250,7 +252,8 @@ def enumerate_std0(lam: Partition, nu: Partition, s: int) -> list[KroneckerTable
     total number of removals (every step with removal half in row 1, so
     d(1) counts too) is at most |lam|.  Anything else is unsupported.
     """
-    if s == nu.size - lam.size:
+    tag = classify(lam, nu, s)
+    if tag is TripleClass.MAXIMAL_DEPTH:
         # Pure adds reach nu only from inside it, and then every level stays
         # inside nu, so a row grows only while it is shorter than nu's.
         if not contains(lam, nu):
@@ -263,7 +266,7 @@ def enumerate_std0(lam: Partition, nu: Partition, s: int) -> list[KroneckerTable
                     if nxt is not None:
                         yield Step.add(q), nxt
 
-    elif len(lam) <= 1 and len(nu) <= 1:
+    elif tag is TripleClass.ONE_ROW_PAIR:
 
         def moves(cur, prefix, left):
             spent = sum(p.remove_row for p in prefix) >= lam.size

@@ -1,7 +1,9 @@
+import shlex
 import types
 from pathlib import Path
 
 import stablekron
+from stablekron.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -17,6 +19,33 @@ def test_readme_library_snippet_runs_as_written(capsys):
     lam, nu, mu = namespace["lam"], namespace["nu"], namespace["mu"]
     assert namespace["stable_kronecker"](lam, nu, mu) == (1, "copieri")
     assert len(capsys.readouterr().out.splitlines()) == 4  # one line per orbit
+
+
+def readme_cli_lines() -> list[tuple[str, str]]:
+    """The README's CLI lines as (command, comment) pairs."""
+    section = README.read_text(encoding="utf-8").split("## CLI", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [
+        tuple(part.strip() for part in line.partition("#")[::2])
+        for line in block.splitlines()
+    ]
+
+
+def test_readme_cli_lines_run_as_written(capsys):
+    # The verify sweeps are the acceptance suite's; every other line runs
+    # here, and a "# -> X" comment pins the first line of its output.
+    pinned = 0
+    for command, comment in readme_cli_lines():
+        argv = shlex.split(command)
+        assert argv[0] == "stablekron", command
+        if argv[1] == "verify":
+            continue
+        assert main(argv[1:]) == 0, command
+        out = capsys.readouterr().out
+        if comment.startswith("-> "):
+            assert out.splitlines()[0] == comment[3:], command
+            pinned += 1
+    assert pinned == 2
 
 
 def test_public_names_are_the_readme_api():

@@ -40,6 +40,10 @@ def test_construction_rejects_bad_input():
         Partition((1, 2))
     with pytest.raises(ValueError):
         Partition((2, -1))
+    with pytest.raises(ValueError):
+        Partition((2.7, 1))
+    with pytest.raises(ValueError):
+        Partition(("3",))
 
 
 def test_size_and_length():

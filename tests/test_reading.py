@@ -95,7 +95,7 @@ def test_copieri_supported_exactly_on_classified_families():
     for lam in partitions_up_to(4):
         for nu in partitions_up_to(4):
             for mu in partitions_up_to(3):
-                tag = classify(lam, nu, mu)
+                tag = classify(lam, nu, mu.size)
                 tags.add(tag)
                 try:
                     stable_kronecker_copieri(lam, nu, mu)

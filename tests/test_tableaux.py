@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -39,8 +40,11 @@ def test_step_str_parse_roundtrip():
 
 
 def test_step_parse_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_step("x3")
+    for text in ("x3", "", " ", "a", "m(1)"):
+        with pytest.raises(ValueError, match=re.escape(repr(text.strip()))):
+            parse_step(text)
+    with pytest.raises(ValueError, match="r1··a1"):
+        parse_tableau(P("2,1"), "r1··a1")
 
 
 def test_step_order_examples():
@@ -263,11 +267,11 @@ def test_swap_is_an_involution():
     ],
 )
 def test_classify(lam, nu, mu, tag):
-    assert classify(P(lam), P(nu), P(mu)) is tag
+    assert classify(P(lam), P(nu), P(mu).size) is tag
 
 
 def test_classify_precedence():
     # a staircase pair that is also maximal depth keeps the first tag
-    assert classify(P(""), P("2,1"), P("3")) is TripleClass.MAXIMAL_DEPTH
+    assert classify(P(""), P("2,1"), 3) is TripleClass.MAXIMAL_DEPTH
     # one-row beats the staircase reading of ((1),(1),...)
-    assert classify(P("1"), P("1"), P("1")) is TripleClass.ONE_ROW_PAIR
+    assert classify(P("1"), P("1"), 1) is TripleClass.ONE_ROW_PAIR
