@@ -99,6 +99,10 @@ def cmd_count(args) -> int:
 
 def cmd_enumerate(args) -> int:
     lam, nu = args.lam, args.nu
+    if args.dot and args.kind in ("std", "std0"):
+        raise ValueError("--dot draws orbits: use it with enumerate sstd/latt")
+    if args.dot and args.format == "json":
+        raise ValueError("--dot writes DOT, not JSON: drop --format json")
     if args.kind in ("std", "std0"):
         if args.s is None:
             raise ValueError("enumerate std/std0 requires -s")

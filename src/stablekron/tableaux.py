@@ -16,7 +16,6 @@ from functools import cache, total_ordering
 from .partitions import (
     Partition,
     add_box,
-    contains,
     horizontal_strip,
     intersect,
     remove_box,
@@ -177,7 +176,7 @@ def classify(lam: Partition, nu: Partition, s: int) -> TripleClass:
     if (
         horizontal_strip(lam, inter)
         and horizontal_strip(nu, inter)
-        and s == _needed_steps(lam, nu)
+        and s == max(lam.size, nu.size) - inter.size
     ):
         return TripleClass.CO_PIERI_HORIZONTAL
     if lam == nu and _is_staircase(lam) and s <= lam[-1]:
@@ -194,95 +193,91 @@ def _is_staircase(lam: Partition) -> bool:
     return all(lam[i] == d * (l - i) for i in range(l))
 
 
-def _needed_steps(cur: Partition, nu: Partition) -> int:
-    """Lower bound on steps to reach nu: each step removes and adds at most one box."""
-    shared = sum(map(min, cur, nu))
-    return max(cur.size - shared, nu.size - shared)
-
-
 @cache
 def _steps(rows: int) -> tuple[Step, ...]:
     """Every step a partition with this many rows could take, in ascending
     step order: remove in rows 0..rows, add in rows 0..rows + 1.  Row 0 is
-    no change; apply_step decides which of them are legal."""
+    no change; the walker and apply_step decide which of them are legal."""
     return tuple(sorted(Step(p, q) for p in range(rows + 1) for q in range(rows + 2)))
 
 
-def _walk(lam: Partition, nu: Partition, s: int, moves) -> list[KroneckerTableau]:
-    """The one depth-first path walker.  moves(cur, prefix, left) yields, in
-    ascending step order, the (step, next) pairs from cur that can still
-    reach nu in left further steps; so paths come out in ascending sort_key."""
+@cache
+def _adds(rows: int) -> tuple[Step, ...]:
+    """The pure adds of _steps(rows), in the same order."""
+    return tuple(st for st in _steps(rows) if st.add_row and not st.remove_row)
+
+
+_ONE_ROW_STEPS = (Step.remove(1), Step.dummy(1), Step.add(1))
+
+
+def _walk(lam: Partition, nu: Partition, s: int, table, budget) -> list[KroneckerTableau]:
+    """The one path walker.  Each level tries table(len(cur)) in ascending
+    step order, so paths come out in ascending sort_key; at most budget
+    steps may remove a box (a dummy step removes one).  A step is skipped
+    past the budget, on a row it cannot remove from, or when nu is out of
+    reach: over = |cur| - |cur & nu| and short = |nu| - |cur & nu| each
+    move by at most one a step, so both must stay <= the steps left."""
     results: list[KroneckerTableau] = []
-    prefix: list[Step] = []
+    path: list[Step] = []
 
-    def walk(cur: Partition, remaining: int):
-        if remaining == 0:
-            if cur == nu:
-                results.append(KroneckerTableau(lam, tuple(prefix)))
+    def walk(cur: Partition, left: int, spent: int, over: int, short: int):
+        if not left:
+            results.append(KroneckerTableau(lam, tuple(path)))
             return
-        for st, nxt in moves(cur, prefix, remaining - 1):
-            prefix.append(st)
-            walk(nxt, remaining - 1)
-            prefix.pop()
+        left -= 1
+        for st in table(len(cur)):
+            p, q = st.remove_row, st.add_row
+            if p and (spent == budget or cur.row(p) == cur.row(p + 1)):
+                continue
+            o, sh = over, short
+            if p:
+                if cur.row(p) > nu.row(p):
+                    o -= 1
+                else:
+                    sh += 1
+            if q:
+                if cur.row(q) - (p == q) < nu.row(q):
+                    sh -= 1
+                else:
+                    o += 1
+            if o > left or sh > left:
+                continue
+            nxt = apply_step(cur, st)
+            if nxt is not None:
+                path.append(st)
+                walk(nxt, left, spent + (p > 0), o, sh)
+                path.pop()
 
-    walk(lam, s)
+    shared = sum(map(min, lam, nu))
+    if lam.size - shared <= s and nu.size - shared <= s:
+        walk(lam, s, 0, lam.size - shared, nu.size - shared)
     return results
 
 
 def enumerate_std(lam: Partition, nu: Partition, s: int) -> list[KroneckerTableau]:
-    """All paths of s integral steps from lam to nu, depth-first in step order."""
-
-    def moves(cur, prefix, left):
-        for st in _steps(len(cur)):
-            nxt = apply_step(cur, st)
-            if nxt is not None and _needed_steps(nxt, nu) <= left:
-                yield st, nxt
-
-    return _walk(lam, nu, s, moves)
-
-
-_ONE_ROW_STEPS = (Step.remove(1), Step.dummy(1), Step.add(1))
+    """All paths of s integral steps from lam to nu, depth-first in step
+    order: the walker over every step, with a budget no path can exceed."""
+    return _walk(lam, nu, s, _steps, s)
 
 
 def enumerate_std0(lam: Partition, nu: Partition, s: int) -> list[KroneckerTableau]:
     """The quotient-basis subset of enumerate_std, in the same order.
 
     Maximal depth (s = |nu| - |lam|): the whole of Std, which consists of
-    pure add paths.  One-row pairs: paths over {r(1), d(1), a(1)} whose
-    total number of removals (every step with removal half in row 1, so
-    d(1) counts too) is at most |lam|.  Anything else is unsupported.
+    pure add paths, so the walker tries only adds and has no removal
+    budget.  One-row pairs: paths over {r(1), d(1), a(1)} whose total
+    number of removals (every step with removal half in row 1, so d(1)
+    counts too) is at most |lam|.  Anything else is unsupported.
     """
     tag = classify(lam, nu, s)
     if tag is TripleClass.MAXIMAL_DEPTH:
-        # Pure adds reach nu only from inside it, and then every level stays
-        # inside nu, so a row grows only while it is shorter than nu's.
-        if not contains(lam, nu):
-            return []
-
-        def moves(cur, prefix, left):
-            for q in range(1, len(cur) + 2):
-                if cur.row(q) < nu.row(q):
-                    nxt = add_box(cur, q)
-                    if nxt is not None:
-                        yield Step.add(q), nxt
-
-    elif tag is TripleClass.ONE_ROW_PAIR:
-
-        def moves(cur, prefix, left):
-            spent = sum(p.remove_row for p in prefix) >= lam.size
-            for st in _ONE_ROW_STEPS:
-                if st.remove_row and spent:
-                    continue
-                nxt = apply_step(cur, st)
-                if nxt is not None and abs(nxt.size - nu.size) <= left:
-                    yield st, nxt
-
-    else:
-        raise UnsupportedFamily(
-            f"no quotient basis for lambda={lam}, nu={nu}, s={s}: only "
-            "maximal-depth (|lambda| + s = |nu|) and one-row triples have one"
-        )
-    return _walk(lam, nu, s, moves)
+        return _walk(lam, nu, s, _adds, 0)
+    if tag is TripleClass.ONE_ROW_PAIR:
+        return _walk(lam, nu, s, lambda rows: _ONE_ROW_STEPS, lam.size)
+    raise UnsupportedFamily(
+        f"no quotient basis for lambda={lam}, nu={nu}, s={s}: only "
+        "maximal-depth (|lambda| + s = |nu|) and one-row triples have one"
+    )
 
 
 def swap(t: KroneckerTableau, k: int):

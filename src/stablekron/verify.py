@@ -33,37 +33,36 @@ def _mismatch(lam: Partition, nu: Partition, mu: Partition, got: int, want: int)
     }
 
 
+def _compare(triples, oracle) -> list[dict]:
+    """Mismatches of the lattice count against oracle(lam, nu, mu)."""
+    mismatches = []
+    for lam, nu, mu in triples:
+        got = stable_kronecker_copieri(lam, nu, mu)
+        want = oracle(lam, nu, mu)
+        if got != want:
+            mismatches.append(_mismatch(lam, nu, mu, got, want))
+    return mismatches
+
+
 def sweep_maximal_depth(max_nu: int) -> list[dict]:
     """Lattice count vs Littlewood-Richardson over all maximal-depth
     triples with |nu| <= max_nu."""
-    mismatches = []
-    for m in range(max_nu + 1):
-        for nu_parts in partitions_of(m):
-            nu = Partition(nu_parts)
-            for lam in _sub_partitions(nu):
-                s = nu.size - lam.size
-                for mu_parts in partitions_of(s):
-                    mu = Partition(mu_parts)
-                    got = stable_kronecker_copieri(lam, nu, mu)
-                    want = lr_coefficient(lam, mu, nu)
-                    if got != want:
-                        mismatches.append(_mismatch(lam, nu, mu, got, want))
-    return mismatches
+    triples = (
+        (lam, nu, Partition(mu_parts))
+        for m in range(max_nu + 1)
+        for nu in map(Partition, partitions_of(m))
+        for lam in _sub_partitions(nu)
+        for mu_parts in partitions_of(nu.size - lam.size)
+    )
+    return _compare(triples, lambda lam, nu, mu: lr_coefficient(lam, mu, nu))
 
 
 def sweep_one_row(max_part: int, max_mu: int) -> list[dict]:
     """Lattice count vs character-oracle stable limit over one-row pairs."""
-    mismatches = []
-    for a in range(max_part + 1):
-        for b in range(max_part + 1):
-            lam = Partition((a,) if a else ())
-            nu = Partition((b,) if b else ())
-            for mu in partitions_up_to(max_mu):
-                got = stable_kronecker_copieri(lam, nu, mu)
-                want = stable_kronecker_oracle(lam, nu, mu)
-                if got != want:
-                    mismatches.append(_mismatch(lam, nu, mu, got, want))
-    return mismatches
+    rows = [Partition((a,) if a else ()) for a in range(max_part + 1)]
+    mus = partitions_up_to(max_mu)
+    triples = ((lam, nu, mu) for lam in rows for nu in rows for mu in mus)
+    return _compare(triples, stable_kronecker_oracle)
 
 
 def sweep_dims(max_size: int, max_s: int) -> list[dict]:

@@ -292,6 +292,9 @@ def test_bad_partition_text(capsys):
         # a weight whose frame layout would not fit in memory
         ("count", "-l", "0", "-n", "0", "-m", "1000000000000"),
         ("enumerate", "sstd", "-l", "0", "-n", "0", "-m", "1000000000000"),
+        # --dot where it would be ignored
+        ("enumerate", "std", "-l", "4", "-n", "4", "-s", "3", "--dot"),
+        ("enumerate", "sstd", "-l", "4", "-n", "4", "-m", "2,1", "--dot", "--format=json"),
     ],
 )
 def test_negative_argument_is_usage_error(capsys, argv):

@@ -1,11 +1,15 @@
+import os
 import shlex
+import subprocess
+import sys
 import types
 from pathlib import Path
 
 import stablekron
 from stablekron.cli import main
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def readme_library_snippet() -> str:
@@ -64,3 +68,26 @@ def test_public_names_are_the_readme_api():
         "reading_word",
         "is_lattice",
     }
+
+
+def run_module(*args):
+    """Exit code, stdout and stderr of `python -m stablekron.cli` run from src."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "stablekron.cli", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_module_entry_point_exit_codes():
+    ok = run_module("count", "-l", "2,1", "-n", "3,3,2", "-m", "2,2,1")
+    assert ok == (0, "1 (copieri)\n", "")
+    code, out, err = run_module(
+        "count", "-l", "2,1", "-n", "2,1", "-m", "1", "--method", "copieri"
+    )
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")

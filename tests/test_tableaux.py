@@ -197,6 +197,37 @@ def test_std0_one_row_budget():
     assert len(enumerate_std0(P("4"), P("4"), 3)) == 7
 
 
+def test_std0_one_row_is_std_filtered_by_definition():
+    # Std0 of a one-row pair is the list of Std paths over {r1, d1, a1}
+    # with at most |lam| removal halves, in the same order
+    allowed = {Step.remove(1), Step.dummy(1), Step.add(1)}
+    rows = [Partition((a,) if a else ()) for a in range(5)]
+    for lam, nu, s in itertools.product(rows, rows, range(6)):
+        want = [
+            t
+            for t in enumerate_std(lam, nu, s)
+            if set(t.steps) <= allowed
+            and sum(st.remove_row > 0 for st in t.steps) <= lam.size
+        ]
+        assert enumerate_std0(lam, nu, s) == want, (lam, nu, s)
+
+
+def test_walker_removes_only_from_removable_rows(monkeypatch):
+    # removal legality is read off the rows before apply_step builds a
+    # level, so every removal the walker asks for succeeds
+    real = tableaux.remove_box
+
+    def remove_box(lam, i):
+        smaller = real(lam, i)
+        assert smaller is not None, (lam, i)
+        return smaller
+
+    monkeypatch.setattr(tableaux, "remove_box", remove_box)
+    for lam, nu, s in [("2,1", "3,3,2", 5), ("4", "4", 3), ("2,2", "3,1", 3)]:
+        assert enumerate_std(P(lam), P(nu), s)
+    assert enumerate_std0(P("4"), P("4"), 3)
+
+
 BOTH = (enumerate_std, enumerate_std0)
 
 
