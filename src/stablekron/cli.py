@@ -106,6 +106,8 @@ def cmd_enumerate(args) -> int:
     if args.kind in ("std", "std0"):
         if args.s is None:
             raise ValueError("enumerate std/std0 requires -s")
+        if args.mu is not None:
+            raise ValueError("enumerate std/std0 takes no -m: the path length is -s")
         if args.s < 0:
             raise ValueError(f"-s must be >= 0, got {args.s}")
         paths = (
@@ -122,6 +124,8 @@ def cmd_enumerate(args) -> int:
         return 0
     if args.mu is None:
         raise ValueError("enumerate sstd/latt requires -m")
+    if args.s is not None:
+        raise ValueError("enumerate sstd/latt takes no -s: the path length is |mu|")
     mu = args.mu
     orbits = enumerate_sstd(lam, nu, mu.size, mu)
     if args.kind == "latt":
@@ -147,17 +151,22 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
+# Each verify family: its sweep and its own bounds, in the sweep's argument
+# order, with their defaults.  A family's subcommand accepts only these.
+_SWEEPS = {
+    "maximal-depth": (sweep_maximal_depth, {"max_nu": 6}),
+    "one-row": (sweep_one_row, {"max_part": 4, "max_mu": 3}),
+    "dims": (sweep_dims, {"max_size": 4, "max_s": 3}),
+}
+
+
 def cmd_verify(args) -> int:
-    for name in ("max_nu", "max_part", "max_mu", "max_size", "max_s"):
-        value = getattr(args, name)
+    sweep, bounds = _SWEEPS[args.family]
+    values = [getattr(args, name) for name in bounds]
+    for name, value in zip(bounds, values):
         if value < 0:
             raise ValueError(f"--{name.replace('_', '-')} must be >= 0, got {value}")
-    if args.family == "maximal-depth":
-        mismatches = sweep_maximal_depth(args.max_nu)
-    elif args.family == "one-row":
-        mismatches = sweep_one_row(args.max_part, args.max_mu)
-    else:
-        mismatches = sweep_dims(args.max_size, args.max_s)
+    mismatches = sweep(*values)
     for miss in mismatches:
         print(
             "MISMATCH ({lambda}; {nu}; {mu}) copieri={copieri} oracle={oracle}".format(
@@ -254,12 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("verify", help="run an oracle-equivalence sweep")
-    p.add_argument("family", choices=("maximal-depth", "one-row", "dims"))
-    p.add_argument("--max-nu", type=int, default=6)
-    p.add_argument("--max-part", type=int, default=4)
-    p.add_argument("--max-mu", type=int, default=3)
-    p.add_argument("--max-size", type=int, default=4)
-    p.add_argument("--max-s", type=int, default=3)
+    families = p.add_subparsers(dest="family", required=True)
+    for family, (_, bounds) in _SWEEPS.items():
+        f = families.add_parser(family)
+        for name, default in bounds.items():
+            f.add_argument(f"--{name.replace('_', '-')}", type=int, default=default)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("classify", help="name the family of a triple")

@@ -4,7 +4,8 @@ A path of length s from lam to nu is a sequence of integral steps, each
 removing a box (or nothing) and then adding a box (or nothing).  This
 module enumerates the full path sets, the quotient subsets for the two
 families where they are defined (maximal depth and one-row pairs), the
-adjacent-step swap, and the classification of triples.
+adjacent-step swap, and the classification of triples.  Which steps are
+legal from a shape is decided once, by the cached _moves.
 """
 
 from __future__ import annotations
@@ -91,15 +92,28 @@ def parse_step(text: str) -> Step:
 
 
 def apply_step(lam: Partition, st: Step):
-    """Apply one step, or None when either half is illegal."""
-    cur = lam
-    if st.remove_row:
-        cur = remove_box(cur, st.remove_row)
-        if cur is None:
-            return None
-    if st.add_row:
-        cur = add_box(cur, st.add_row)
-    return cur
+    """The shape one step leads to from lam, or None when the step is not
+    legal there: a lookup in _moves, the one definition of a legal step."""
+    return _moves(lam).get(st)
+
+
+@cache
+def _moves(cur: Partition) -> dict[Step, Partition]:
+    """Every legal step from cur mapped to the shape it leads to, in
+    ascending step order; callers share it and must not mutate it.  A box
+    is removed only from a row longer than the next (row 0: none), then
+    added where add_box allows.  The cache holds one entry per shape
+    visited, so it stays as small as the walks that fill it."""
+    moves = {}
+    for p in range(len(cur) + 1):
+        if p and cur.row(p) == cur.row(p + 1):
+            continue
+        mid = remove_box(cur, p) if p else cur
+        for q in range(len(mid) + 2):
+            nxt = add_box(mid, q) if q else mid
+            if nxt is not None:
+                moves[Step(p, q)] = nxt
+    return dict(sorted(moves.items()))
 
 
 @dataclass(frozen=True)
@@ -193,30 +207,16 @@ def _is_staircase(lam: Partition) -> bool:
     return all(lam[i] == d * (l - i) for i in range(l))
 
 
-@cache
-def _steps(rows: int) -> tuple[Step, ...]:
-    """Every step a partition with this many rows could take, in ascending
-    step order: remove in rows 0..rows, add in rows 0..rows + 1.  Row 0 is
-    no change; the walker and apply_step decide which of them are legal."""
-    return tuple(sorted(Step(p, q) for p in range(rows + 1) for q in range(rows + 2)))
+_ONE_ROW_STEPS = frozenset((Step.remove(1), Step.dummy(1), Step.add(1)))
 
 
-@cache
-def _adds(rows: int) -> tuple[Step, ...]:
-    """The pure adds of _steps(rows), in the same order."""
-    return tuple(st for st in _steps(rows) if st.add_row and not st.remove_row)
-
-
-_ONE_ROW_STEPS = (Step.remove(1), Step.dummy(1), Step.add(1))
-
-
-def _walk(lam: Partition, nu: Partition, s: int, table, budget) -> list[KroneckerTableau]:
-    """The one path walker.  Each level tries table(len(cur)) in ascending
-    step order, so paths come out in ascending sort_key; at most budget
-    steps may remove a box (a dummy step removes one).  A step is skipped
-    past the budget, on a row it cannot remove from, or when nu is out of
-    reach: over = |cur| - |cur & nu| and short = |nu| - |cur & nu| each
-    move by at most one a step, so both must stay <= the steps left."""
+def _walk(lam: Partition, nu: Partition, s: int, budget: int, steps=None) -> list[KroneckerTableau]:
+    """The one path walker.  Each level tries _moves(cur) in ascending
+    step order, so paths come out in ascending sort_key.  A move is skipped
+    past the removal budget (a dummy step removes), outside steps when
+    given, or when nu is out of reach: over = |cur| - |cur & nu| and
+    short = |nu| - |cur & nu| each move by at most one a step, so both
+    must stay <= the steps left."""
     results: list[KroneckerTableau] = []
     path: list[Step] = []
 
@@ -225,9 +225,9 @@ def _walk(lam: Partition, nu: Partition, s: int, table, budget) -> list[Kronecke
             results.append(KroneckerTableau(lam, tuple(path)))
             return
         left -= 1
-        for st in table(len(cur)):
+        for st, nxt in _moves(cur).items():
             p, q = st.remove_row, st.add_row
-            if p and (spent == budget or cur.row(p) == cur.row(p + 1)):
+            if p and spent == budget or steps is not None and st not in steps:
                 continue
             o, sh = over, short
             if p:
@@ -242,11 +242,9 @@ def _walk(lam: Partition, nu: Partition, s: int, table, budget) -> list[Kronecke
                     o += 1
             if o > left or sh > left:
                 continue
-            nxt = apply_step(cur, st)
-            if nxt is not None:
-                path.append(st)
-                walk(nxt, left, spent + (p > 0), o, sh)
-                path.pop()
+            path.append(st)
+            walk(nxt, left, spent + (p > 0), o, sh)
+            path.pop()
 
     shared = sum(map(min, lam, nu))
     if lam.size - shared <= s and nu.size - shared <= s:
@@ -256,24 +254,25 @@ def _walk(lam: Partition, nu: Partition, s: int, table, budget) -> list[Kronecke
 
 def enumerate_std(lam: Partition, nu: Partition, s: int) -> list[KroneckerTableau]:
     """All paths of s integral steps from lam to nu, depth-first in step
-    order: the walker over every step, with a budget no path can exceed."""
-    return _walk(lam, nu, s, _steps, s)
+    order: every legal move, under a removal budget no path can exceed."""
+    return _walk(lam, nu, s, s)
 
 
 def enumerate_std0(lam: Partition, nu: Partition, s: int) -> list[KroneckerTableau]:
     """The quotient-basis subset of enumerate_std, in the same order.
 
-    Maximal depth (s = |nu| - |lam|): the whole of Std, which consists of
-    pure add paths, so the walker tries only adds and has no removal
-    budget.  One-row pairs: paths over {r(1), d(1), a(1)} whose total
-    number of removals (every step with removal half in row 1, so d(1)
-    counts too) is at most |lam|.  Anything else is unsupported.
+    Maximal depth (s = |nu| - |lam|): the whole of Std, all pure adds.  A
+    zero removal budget prunes removals, and the reach count short, equal
+    to the steps left here, prunes d(0) and adds outside nu.  One-row
+    pairs: paths over {r(1), d(1), a(1)} whose removals (every step with
+    removal half in row 1, so d(1) counts too) number at most |lam|.
+    Anything else is unsupported.
     """
     tag = classify(lam, nu, s)
     if tag is TripleClass.MAXIMAL_DEPTH:
-        return _walk(lam, nu, s, _adds, 0)
+        return _walk(lam, nu, s, 0)
     if tag is TripleClass.ONE_ROW_PAIR:
-        return _walk(lam, nu, s, lambda rows: _ONE_ROW_STEPS, lam.size)
+        return _walk(lam, nu, s, lam.size, _ONE_ROW_STEPS)
     raise UnsupportedFamily(
         f"no quotient basis for lambda={lam}, nu={nu}, s={s}: only "
         "maximal-depth (|lambda| + s = |nu|) and one-row triples have one"

@@ -295,6 +295,9 @@ def test_bad_partition_text(capsys):
         # --dot where it would be ignored
         ("enumerate", "std", "-l", "4", "-n", "4", "-s", "3", "--dot"),
         ("enumerate", "sstd", "-l", "4", "-n", "4", "-m", "2,1", "--dot", "--format=json"),
+        # -m or -s where it would be ignored
+        ("enumerate", "std0", "-l", "4", "-n", "4", "-s", "3", "-m", "2,1"),
+        ("enumerate", "sstd", "-l", "4", "-n", "4", "-m", "2,1", "-s", "9"),
     ],
 )
 def test_negative_argument_is_usage_error(capsys, argv):
@@ -389,3 +392,15 @@ def test_negative_or_huge_length_is_usage_error(kind, lam, nu, s):
 )
 def test_negative_verify_bound_is_usage_error(family, bound, value):
     assert_usage_error(["verify", family, f"{bound}={value}"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "one-row", "--max-nu", "99", "--max-part", "1", "--max-mu", "1"),
+        ("verify", "maximal-depth", "--max-s", "0"),
+        ("verify", "dims", "--max-part", "2"),
+    ],
+)
+def test_verify_rejects_another_familys_bound(argv):
+    assert_usage_error(argv)

@@ -76,6 +76,36 @@ def test_apply_step():
     assert apply_step(P(""), Step.dummy(1)) is None
 
 
+def _reference_step(lam, p, q):
+    """lam with a box removed in row p, then one added in row q (row 0: no
+    change), or None when either half is not a partition.  Judged by
+    Partition's own validation alone."""
+    parts = list(lam) + [0] * 5
+    try:
+        if p:
+            parts[p - 1] -= 1
+            Partition(parts)
+        if q:
+            parts[q - 1] += 1
+        return Partition(parts)
+    except ValueError:
+        return None
+
+
+def test_moves_is_the_one_step_definition():
+    # apply_step agrees with Partition's own validation on every step that
+    # could touch a row, and _moves lists exactly the legal steps in order
+    shapes = partitions_up_to(6) + [Partition((1,) * 40), Partition((40,))]
+    for lam in shapes:
+        legal = []
+        for p, q in itertools.product(range(len(lam) + 3), repeat=2):
+            want = _reference_step(lam, p, q)
+            assert apply_step(lam, Step(p, q)) == want, (lam, p, q)
+            if want is not None:
+                legal.append(Step(p, q))
+        assert list(tableaux._moves(lam)) == sorted(legal, key=lambda st: st.sort_key), lam
+
+
 # -------------------------------------------------------------- tableaux
 
 
@@ -112,22 +142,6 @@ def test_std_endpoints_from_empty():
         if enumerate_std(P(""), nu, 3)
     }
     assert reachable == set(map(P, ["", "1", "2", "1,1", "3", "2,1", "1,1,1"]))
-
-
-def _reference_step(lam, p, q):
-    """lam with a box removed in row p, then one added in row q (row 0: no
-    change), or None when either half is not a partition.  Judged by
-    Partition's own validation alone."""
-    parts = list(lam) + [0] * 5
-    try:
-        if p:
-            parts[p - 1] -= 1
-            Partition(parts)
-        if q:
-            parts[q - 1] += 1
-        return Partition(parts)
-    except ValueError:
-        return None
 
 
 def test_std_is_every_path_in_step_order():
@@ -181,11 +195,21 @@ def test_std0_maximal_depth_is_pure_add():
         assert all(st.remove_row == 0 < st.add_row for st in p.steps)
 
 
-def test_std0_maximal_depth_not_contained(monkeypatch):
+@pytest.fixture
+def cold_moves(monkeypatch):
+    """monkeypatch, with the process-wide move cache emptied before the
+    test patches the builder and again before the patch is undone, so the
+    test reaches the builder and leaves no patched entry behind."""
+    tableaux._moves.cache_clear()
+    yield monkeypatch
+    tableaux._moves.cache_clear()
+
+
+def test_std0_maximal_depth_not_contained(cold_moves):
     assert enumerate_std0(P("2,2"), P("3,1"), 0) == []
     # a start outside nu is answered without building a single level
     built = []
-    monkeypatch.setattr(tableaux, "add_box", lambda *args: built.append(args))
+    cold_moves.setattr(tableaux, "add_box", lambda *args: built.append(args))
     assert enumerate_std0(P("1,1,1,1"), P("12,12,12"), 32) == []
     assert built == []
 
@@ -212,9 +236,9 @@ def test_std0_one_row_is_std_filtered_by_definition():
         assert enumerate_std0(lam, nu, s) == want, (lam, nu, s)
 
 
-def test_walker_removes_only_from_removable_rows(monkeypatch):
-    # removal legality is read off the rows before apply_step builds a
-    # level, so every removal the walker asks for succeeds
+def test_walker_removes_only_from_removable_rows(cold_moves):
+    # _moves reads removal legality off the rows before it builds a
+    # level, so every removal it asks for succeeds
     real = tableaux.remove_box
 
     def remove_box(lam, i):
@@ -222,7 +246,7 @@ def test_walker_removes_only_from_removable_rows(monkeypatch):
         assert smaller is not None, (lam, i)
         return smaller
 
-    monkeypatch.setattr(tableaux, "remove_box", remove_box)
+    cold_moves.setattr(tableaux, "remove_box", remove_box)
     for lam, nu, s in [("2,1", "3,3,2", 5), ("4", "4", 3), ("2,2", "3,1", 3)]:
         assert enumerate_std(P(lam), P(nu), s)
     assert enumerate_std0(P("4"), P("4"), 3)
