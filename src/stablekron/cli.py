@@ -2,6 +2,7 @@
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or domain error.
 Partitions are written "a,b,c" ("0" or "" for the empty partition).
+Each subcommand accepts only the options it reads.
 """
 
 from __future__ import annotations
@@ -97,36 +98,20 @@ def cmd_count(args) -> int:
     return 0
 
 
-def cmd_enumerate(args) -> int:
-    lam, nu = args.lam, args.nu
-    if args.dot and args.kind in ("std", "std0"):
-        raise ValueError("--dot draws orbits: use it with enumerate sstd/latt")
-    if args.dot and args.format == "json":
-        raise ValueError("--dot writes DOT, not JSON: drop --format json")
-    if args.kind in ("std", "std0"):
-        if args.s is None:
-            raise ValueError("enumerate std/std0 requires -s")
-        if args.mu is not None:
-            raise ValueError("enumerate std/std0 takes no -m: the path length is -s")
-        if args.s < 0:
-            raise ValueError(f"-s must be >= 0, got {args.s}")
-        paths = (
-            enumerate_std(lam, nu, args.s)
-            if args.kind == "std"
-            else enumerate_std0(lam, nu, args.s)
-        )
-        if args.format == "json":
-            print(json.dumps({"count": len(paths), "tableaux": [str(p) for p in paths]}))
-        else:
-            print(f"{len(paths)} tableaux")
-            for p in paths:
-                print(str(p))
-        return 0
-    if args.mu is None:
-        raise ValueError("enumerate sstd/latt requires -m")
-    if args.s is not None:
-        raise ValueError("enumerate sstd/latt takes no -s: the path length is |mu|")
-    mu = args.mu
+def cmd_enumerate_paths(args) -> int:
+    walk = enumerate_std if args.kind == "std" else enumerate_std0
+    paths = walk(args.lam, args.nu, args.s)
+    if args.format == "json":
+        print(json.dumps({"count": len(paths), "tableaux": [str(p) for p in paths]}))
+    else:
+        print(f"{len(paths)} tableaux")
+        for p in paths:
+            print(str(p))
+    return 0
+
+
+def cmd_enumerate_orbits(args) -> int:
+    lam, nu, mu = args.lam, args.nu, args.mu
     orbits = enumerate_sstd(lam, nu, mu.size, mu)
     if args.kind == "latt":
         orbits = [o for o in orbits if is_lattice(reading_word(o))]
@@ -162,11 +147,7 @@ _SWEEPS = {
 
 def cmd_verify(args) -> int:
     sweep, bounds = _SWEEPS[args.family]
-    values = [getattr(args, name) for name in bounds]
-    for name, value in zip(bounds, values):
-        if value < 0:
-            raise ValueError(f"--{name.replace('_', '-')} must be >= 0, got {value}")
-    mismatches = sweep(*values)
+    mismatches = sweep(*(getattr(args, name) for name in bounds))
     for miss in mismatches:
         print(
             "MISMATCH ({lambda}; {nu}; {mu}) copieri={copieri} oracle={oracle}".format(
@@ -195,19 +176,20 @@ def cmd_classify(args) -> int:
     return 0
 
 
+# Each oracle kind: its function and the partition options it reads, in order.
+_ORACLES = {
+    "char": (character, ("lam", "rho")),
+    "kron": (kronecker, ("lam", "mu", "nu")),
+    "stable": (stable_kronecker_oracle, ("lam", "nu", "mu")),
+    "lr": (lr_coefficient, ("lam", "mu", "nu")),
+    "kostka": (kostka, ("beta", "mu")),
+    "fstd": (standard_count, ("mu",)),
+}
+
+
 def cmd_oracle(args) -> int:
-    if args.kind == "char":
-        value = character(args.lam, args.rho)
-    elif args.kind == "kron":
-        value = kronecker(args.lam, args.mu, args.nu)
-    elif args.kind == "stable":
-        value = stable_kronecker_oracle(args.lam, args.nu, args.mu)
-    elif args.kind == "lr":
-        value = lr_coefficient(args.lam, args.mu, args.nu)
-    elif args.kind == "kostka":
-        value = kostka(args.beta, args.mu)
-    else:
-        value = standard_count(args.mu)
+    function, names = _ORACLES[args.kind]
+    value = function(*(getattr(args, name) for name in names))
     if args.format == "json":
         print(json.dumps({"value": value}))
     else:
@@ -222,11 +204,20 @@ def _partition_arg(text: str) -> Partition:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _count_arg(text: str) -> int:
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+
+
 class _Parser(argparse.ArgumentParser):
-    """A usage error is one "error:" line and exit 2; subparsers inherit this."""
+    """A usage error raises for `main` to report; subparsers inherit this."""
 
     def error(self, message):
-        self.exit(2, f"error: {message}\n")
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -240,56 +231,65 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_triple(p, mu_default=Partition()):
-        p.add_argument("-l", "--lam", type=_partition_arg, default=Partition())
-        p.add_argument("-n", "--nu", type=_partition_arg, default=Partition())
-        p.add_argument("-m", "--mu", type=_partition_arg, default=mu_default)
+    def add_partitions(p, *names):
+        for name in names:  # -l/--lam, -n/--nu, -m/--mu, -r/--rho, -b/--beta
+            flags = f"-{name[0]}", f"--{name}"
+            p.add_argument(*flags, type=_partition_arg, default=Partition())
 
     def add_format(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("count", help="compute one stable Kronecker coefficient")
-    add_triple(p)
+    add_partitions(p, "lam", "nu", "mu")
     p.add_argument("--method", choices=("auto", "copieri", "oracle"), default="auto")
     add_format(p)
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("enumerate", help="list paths or orbits")
-    p.add_argument("kind", choices=("std", "std0", "sstd", "latt"))
-    add_triple(p, mu_default=None)
-    p.add_argument("-s", type=int, default=None, help="path length (std/std0)")
-    p.add_argument("--dot", action="store_true", help="emit the swap graph as DOT")
-    add_format(p)
-    p.set_defaults(func=cmd_enumerate)
+    kinds = p.add_subparsers(dest="kind", required=True)
+    for kind in ("std", "std0"):
+        k = kinds.add_parser(kind)
+        add_partitions(k, "lam", "nu")
+        k.add_argument("-s", type=_count_arg, required=True, help="path length")
+        add_format(k)
+        k.set_defaults(func=cmd_enumerate_paths)
+    for kind in ("sstd", "latt"):
+        k = kinds.add_parser(kind)
+        add_partitions(k, "lam", "nu")
+        k.add_argument("-m", "--mu", type=_partition_arg, required=True)
+        output = k.add_mutually_exclusive_group()
+        output.add_argument("--dot", action="store_true", help="emit the swap graph as DOT")
+        # no default, so any explicit --format conflicts with --dot
+        output.add_argument("--format", choices=("text", "json"))
+        k.set_defaults(func=cmd_enumerate_orbits)
 
     p = sub.add_parser("verify", help="run an oracle-equivalence sweep")
     families = p.add_subparsers(dest="family", required=True)
     for family, (_, bounds) in _SWEEPS.items():
         f = families.add_parser(family)
         for name, default in bounds.items():
-            f.add_argument(f"--{name.replace('_', '-')}", type=int, default=default)
+            f.add_argument(f"--{name.replace('_', '-')}", type=_count_arg, default=default)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("classify", help="name the family of a triple")
-    add_triple(p)
+    add_partitions(p, "lam", "nu", "mu")
     add_format(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("oracle", help="evaluate one oracle directly")
-    p.add_argument("kind", choices=("char", "kron", "stable", "lr", "kostka", "fstd"))
-    add_triple(p)
-    p.add_argument("-r", "--rho", type=_partition_arg, default=Partition())
-    p.add_argument("-b", "--beta", type=_partition_arg, default=Partition())
-    add_format(p)
+    kinds = p.add_subparsers(dest="kind", required=True)
+    for kind, (_, names) in _ORACLES.items():
+        k = kinds.add_parser(kind)
+        add_partitions(k, *names)
+        add_format(k)
     p.set_defaults(func=cmd_oracle)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,21 +11,31 @@ from stablekron.partitions import parse_partition
 from stablekron.tableaux import swap
 
 
-def run(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+def run(*argv):
+    """Exit code, stdout and stderr of one call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
 
 
-def test_count_text(capsys):
-    code, out, _ = run(capsys, "count", "-l", "2,1", "-n", "3,3,2", "-m", "2,2,1")
+def assert_usage_error(argv):
+    code, out, err = run(*argv)
+    assert code == 2, argv
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), (argv, err)
+
+
+def test_count_text():
+    code, out, _ = run("count", "-l", "2,1", "-n", "3,3,2", "-m", "2,2,1")
     assert code == 0
     assert out.strip() == "1 (copieri)"
 
 
-def test_count_json(capsys):
+def test_count_json():
     code, out, _ = run(
-        capsys, "count", "-l", "4", "-n", "4", "-m", "3", "--format", "json"
+        "count", "-l", "4", "-n", "4", "-m", "3", "--format", "json"
     )
     assert code == 0
     obj = json.loads(out)
@@ -38,23 +48,23 @@ def test_count_json(capsys):
     }
 
 
-def test_count_forced_oracle(capsys):
+def test_count_forced_oracle():
     code, out, _ = run(
-        capsys, "count", "-l", "4", "-n", "4", "-m", "3", "--method", "oracle"
+        "count", "-l", "4", "-n", "4", "-m", "3", "--method", "oracle"
     )
     assert code == 0
     assert out.strip() == "2 (oracle)"
 
 
-def test_count_auto_falls_back(capsys):
-    code, out, _ = run(capsys, "count", "-l", "2,1", "-n", "2,1", "-m", "1")
+def test_count_auto_falls_back():
+    code, out, _ = run("count", "-l", "2,1", "-n", "2,1", "-m", "1")
     assert code == 0
     assert out.strip().endswith("(oracle)")
 
 
-def test_count_copieri_unsupported_is_domain_error(capsys):
+def test_count_copieri_unsupported_is_domain_error():
     code, out, err = run(
-        capsys, "count", "-l", "2,1", "-n", "2,1", "-m", "1", "--method", "copieri"
+        "count", "-l", "2,1", "-n", "2,1", "-m", "1", "--method", "copieri"
     )
     assert code == 2
     assert not out
@@ -63,8 +73,8 @@ def test_count_copieri_unsupported_is_domain_error(capsys):
     assert "lambda=2,1, nu=2,1" in lines[0] and "Partition(" not in lines[0]
 
 
-def test_enumerate_std0(capsys):
-    code, out, _ = run(capsys, "enumerate", "std0", "-l", "4", "-n", "4", "-s", "3")
+def test_enumerate_std0():
+    code, out, _ = run("enumerate", "std0", "-l", "4", "-n", "4", "-s", "3")
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "7 tableaux"
@@ -81,30 +91,30 @@ def test_enumerate_std0(capsys):
     )
 
 
-def test_enumerate_std(capsys):
-    code, out, _ = run(capsys, "enumerate", "std", "-l", "1", "-n", "1", "-s", "1")
+def test_enumerate_std():
+    code, out, _ = run("enumerate", "std", "-l", "1", "-n", "1", "-s", "1")
     assert code == 0
     assert out.splitlines() == ["2 tableaux", "d1", "d0"]
     code, out, _ = run(
-        capsys, "enumerate", "std", "-l", "1", "-n", "1", "-s", "1", "--format", "json"
+        "enumerate", "std", "-l", "1", "-n", "1", "-s", "1", "--format", "json"
     )
     assert code == 0
     assert json.loads(out) == {"count": 2, "tableaux": ["d1", "d0"]}
 
 
-def test_enumerate_std_requires_length(capsys):
-    code, _, err = run(capsys, "enumerate", "std", "-l", "4", "-n", "4")
-    assert code == 2 and "requires -s" in err
+def test_enumerate_std_requires_length():
+    code, _, err = run("enumerate", "std", "-l", "4", "-n", "4")
+    assert code == 2 and "required: -s" in err
 
 
-def test_enumerate_sstd_requires_weight(capsys):
-    code, _, err = run(capsys, "enumerate", "sstd", "-l", "4", "-n", "4")
-    assert code == 2 and "requires -m" in err
+def test_enumerate_sstd_requires_weight():
+    code, _, err = run("enumerate", "sstd", "-l", "4", "-n", "4")
+    assert code == 2 and "required: -m" in err
 
 
-def test_enumerate_sstd(capsys):
+def test_enumerate_sstd():
     code, out, _ = run(
-        capsys, "enumerate", "sstd", "-l", "2,1", "-n", "3,3,2", "-m", "2,2,1"
+        "enumerate", "sstd", "-l", "2,1", "-n", "3,3,2", "-m", "2,2,1"
     )
     assert code == 0
     lines = out.strip().splitlines()
@@ -112,9 +122,9 @@ def test_enumerate_sstd(capsys):
     assert sum(1 for line in lines[1:] if line.endswith(" lattice")) == 1
 
 
-def test_enumerate_latt(capsys):
+def test_enumerate_latt():
     code, out, _ = run(
-        capsys, "enumerate", "latt", "-l", "2,1", "-n", "3,3,2", "-m", "2,2,1"
+        "enumerate", "latt", "-l", "2,1", "-n", "3,3,2", "-m", "2,2,1"
     )
     assert code == 0
     lines = out.strip().splitlines()
@@ -122,9 +132,8 @@ def test_enumerate_latt(capsys):
     assert "a1·a2·a2·a3·a3" in lines[1]
 
 
-def test_enumerate_json(capsys):
+def test_enumerate_json():
     code, out, _ = run(
-        capsys,
         "enumerate",
         "sstd",
         "-l", "2,1",
@@ -145,9 +154,9 @@ def test_enumerate_json(capsys):
     assert sum(o["reading"]["lattice"] for o in obj["orbits"]) == 1
 
 
-def test_enumerate_dot(capsys):
+def test_enumerate_dot():
     code, out, _ = run(
-        capsys, "enumerate", "sstd", "-l", "4", "-n", "4", "-m", "2,1", "--dot"
+        "enumerate", "sstd", "-l", "4", "-n", "4", "-m", "2,1", "--dot"
     )
     assert code == 0
     assert out.startswith("digraph swaps {")
@@ -179,102 +188,144 @@ def _dot_by_swaps(orbits):
         ("1", "3,2", "2,2"),  # maximal depth with a1·a1 inside a frame
     ],
 )
-def test_enumerate_dot_equals_swap_graph(capsys, lam, nu, mu):
-    code, out, _ = run(capsys, "enumerate", "sstd", "-l", lam, "-n", nu, "-m", mu, "--dot")
+def test_enumerate_dot_equals_swap_graph(lam, nu, mu):
+    code, out, _ = run("enumerate", "sstd", "-l", lam, "-n", nu, "-m", mu, "--dot")
     assert code == 0
     lam, nu, mu = map(parse_partition, (lam, nu, mu))
     assert out == _dot_by_swaps(enumerate_sstd(lam, nu, mu.size, mu))
     assert " -> " in out
 
 
-def test_enumerate_is_deterministic(capsys):
+def test_enumerate_is_deterministic():
     args = ("enumerate", "sstd", "-l", "2,1", "-n", "3,3,2", "-m", "2,2,1")
-    _, first, _ = run(capsys, *args)
-    _, second, _ = run(capsys, *args)
+    _, first, _ = run(*args)
+    _, second, _ = run(*args)
     assert first == second
 
 
-def test_classify_text(capsys):
-    code, out, _ = run(capsys, "classify", "-l", "2,1", "-n", "3,3,2", "-m", "2,2,1")
+def test_classify_text():
+    code, out, _ = run("classify", "-l", "2,1", "-n", "3,3,2", "-m", "2,2,1")
     assert code == 0
     assert out.startswith("maximal-depth:")
 
 
-def test_classify_json(capsys):
+def test_classify_json():
     code, out, _ = run(
-        capsys, "classify", "-l", "2,1", "-n", "2,1", "-m", "1", "--format", "json"
+        "classify", "-l", "2,1", "-n", "2,1", "-m", "1", "--format", "json"
     )
     assert code == 0
     assert json.loads(out)["class"] == "co-pieri-staircase"
 
 
-def test_verify_one_row_small(capsys):
+def test_verify_one_row_small():
     code, out, _ = run(
-        capsys, "verify", "one-row", "--max-part", "2", "--max-mu", "2"
+        "verify", "one-row", "--max-part", "2", "--max-mu", "2"
     )
     assert code == 0
     assert out.strip().splitlines()[-1] == "PASS"
 
 
-def test_verify_dims_small(capsys):
-    code, out, _ = run(capsys, "verify", "dims", "--max-size", "2", "--max-s", "2")
+def test_verify_dims_small():
+    code, out, _ = run("verify", "dims", "--max-size", "2", "--max-s", "2")
     assert code == 0
     assert out.strip().splitlines()[-1] == "PASS"
 
 
-def test_oracle_lr(capsys):
+def test_oracle_lr():
     code, out, _ = run(
-        capsys, "oracle", "lr", "-l", "2,1", "-m", "2,1", "-n", "3,2,1"
+        "oracle", "lr", "-l", "2,1", "-m", "2,1", "-n", "3,2,1"
     )
     assert code == 0 and out.strip() == "2"
 
 
-def test_oracle_char(capsys):
-    code, out, _ = run(capsys, "oracle", "char", "-l", "2,1", "-r", "3")
+def test_oracle_char():
+    code, out, _ = run("oracle", "char", "-l", "2,1", "-r", "3")
     assert code == 0 and out.strip() == "-1"
 
 
-def test_oracle_stable(capsys):
-    code, out, _ = run(capsys, "oracle", "stable", "-l", "2", "-n", "2", "-m", "2")
+def test_oracle_stable():
+    code, out, _ = run("oracle", "stable", "-l", "2", "-n", "2", "-m", "2")
     assert code == 0 and out.strip() == "2"
 
 
-def test_oracle_kostka(capsys):
-    code, out, _ = run(capsys, "oracle", "kostka", "-b", "2,1", "-m", "1,1,1")
+def test_oracle_kostka():
+    code, out, _ = run("oracle", "kostka", "-b", "2,1", "-m", "1,1,1")
     assert code == 0 and out.strip() == "2"
 
 
-def test_oracle_fstd(capsys):
-    code, out, _ = run(capsys, "oracle", "fstd", "-m", "3,2")
+def test_oracle_fstd():
+    code, out, _ = run("oracle", "fstd", "-m", "3,2")
     assert code == 0 and out.strip() == "5"
 
 
-def test_oracle_size_mismatch(capsys):
-    code, _, err = run(capsys, "oracle", "kron", "-l", "2,1", "-m", "2,1", "-n", "2")
+def test_oracle_size_mismatch():
+    code, _, err = run("oracle", "kron", "-l", "2,1", "-m", "2,1", "-n", "2")
     assert code == 2 and err.startswith("error:")
 
 
-def test_size_mismatch_messages_use_partition_text(capsys):
+def test_size_mismatch_messages_use_partition_text():
     for argv, message in (
         (("oracle", "char", "-l", "2,1", "-r", "2"), "error: |2,1| != |2|"),
         (("oracle", "kostka", "-b", "2", "-m", "1,1,1"), "error: |2| != |1,1,1|"),
     ):
-        code, out, err = run(capsys, *argv)
+        code, out, err = run(*argv)
         assert code == 2 and out == ""
         assert err.splitlines() == [message]
         assert "Partition(" not in err
 
 
-def test_bad_partition_text(capsys):
-    for argv in (["count", "-l", "1,2"], ["count", "-l", "1,2", "-n", "1", "-m", "1"]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        lines = err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:")
+def test_bad_count_names_the_option_and_the_text():
+    for argv, message in (
+        (("enumerate", "std", "-l", "4", "-n", "4", "-s", "x"), "argument -s: "),
+        (("verify", "dims", "--max-s", "x"), "argument --max-s: "),
+    ):
+        code, out, err = run(*argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: {message}expected an integer >= 0, got 'x'"]
 
+
+# The partition options each oracle reads, written out independently of the CLI.
+_ORACLE_READS = {
+    "char": "-l -r",
+    "kron": "-l -m -n",
+    "stable": "-l -n -m",
+    "lr": "-l -m -n",
+    "kostka": "-b -m",
+    "fstd": "-m",
+}
+
+
+@pytest.mark.parametrize(
+    "kind, flag",
+    [
+        (kind, flag)
+        for kind, reads in _ORACLE_READS.items()
+        for flag in ("-l", "-n", "-m", "-r", "-b")
+        if flag not in reads.split()
+    ],
+)
+def test_oracle_rejects_an_option_it_does_not_read(kind, flag):
+    assert_usage_error(["oracle", kind, flag, "1"])
+
+
+@pytest.mark.parametrize(
+    "argv", [("--help",), ("enumerate", "std", "--help"), ("oracle", "kostka", "--help")]
+)
+def test_help_exits_zero(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 0
+    usage = out.getvalue()
+    assert usage.startswith("usage: stablekron")
+    if argv[0] == "oracle":
+        assert "--beta" in usage and "--mu" in usage
+        assert "--lam" not in usage and "-l" not in usage
+
+
+def test_bad_partition_text():
+    for argv in (["count", "-l", "1,2"], ["count", "-l", "1,2", "-n", "1", "-m", "1"]):
+        assert_usage_error(argv)
 
 
 @pytest.mark.parametrize(
@@ -298,33 +349,15 @@ def test_bad_partition_text(capsys):
         # -m or -s where it would be ignored
         ("enumerate", "std0", "-l", "4", "-n", "4", "-s", "3", "-m", "2,1"),
         ("enumerate", "sstd", "-l", "4", "-n", "4", "-m", "2,1", "-s", "9"),
+        # a count that is not an integer
+        ("enumerate", "std", "-l", "4", "-n", "4", "-s", "x"),
+        ("verify", "dims", "--max-s", "x"),
+        # --dot with any --format
+        ("enumerate", "sstd", "-l", "4", "-n", "4", "-m", "2,1", "--dot", "--format", "text"),
     ],
 )
-def test_negative_argument_is_usage_error(capsys, argv):
-    code, out, err = run(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    lines = err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:")
-
-
-def run_any(*argv):
-    """Exit code, stdout and stderr of one call, argparse's exits included."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
-
-
-def assert_usage_error(argv):
-    code, out, err = run_any(*argv)
-    assert code == 2, argv
-    assert out == ""
-    lines = err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:"), (argv, err)
+def test_negative_argument_is_usage_error(argv):
+    assert_usage_error(argv)
 
 
 _PARTS = st.lists(st.integers(1, 5), min_size=1, max_size=4).map(
@@ -366,7 +399,7 @@ def test_malformed_partition_is_usage_error(text, flag, command):
 
 def test_blank_partition_text_is_the_empty_partition():
     for text in ("", " ", "\t", "0", " 0 "):
-        code, out, err = run_any("count", f"--lam={text}", "-n", "1", "-m", "1")
+        code, out, err = run("count", f"--lam={text}", "-n", "1", "-m", "1")
         assert (code, out, err) == (0, "1 (copieri)\n", "")
 
 
