@@ -5,7 +5,8 @@ removing a box (or nothing) and then adding a box (or nothing).  This
 module enumerates the full path sets, the quotient subsets for the two
 families where they are defined (maximal depth and one-row pairs), the
 adjacent-step swap, and the classification of triples.  Which steps are
-legal from a shape is decided once, by the cached _moves.
+legal from a shape is decided once, by the cached _moves, and whether nu
+is still in reach once, by the cached _distance.
 """
 
 from __future__ import annotations
@@ -116,6 +117,15 @@ def _moves(cur: Partition) -> dict[Step, Partition]:
     return dict(sorted(moves.items()))
 
 
+@cache
+def _distance(cur: Partition, nu: Partition) -> int:
+    """The fewest steps from cur to nu: max(|cur|, |nu|) - |cur & nu|.
+    A step removes at most one box and adds at most one, and d0 pads a
+    shorter path, so nu is in reach of cur in k steps iff this is <= k.
+    Cached like _moves: one entry per (shape, nu) pair a walk visits."""
+    return max(cur.size, nu.size) - sum(map(min, cur, nu))
+
+
 @dataclass(frozen=True)
 class KroneckerTableau:
     """A path in the branching graph: a start partition plus its steps.
@@ -142,11 +152,10 @@ class KroneckerTableau:
         return out
 
     def is_valid(self) -> bool:
-        cur = self.start
-        for st in self.steps:
-            cur = apply_step(cur, st)
-            if cur is None:
-                return False
+        try:
+            self.levels()
+        except ValueError:
+            return False
         return True
 
     @property
@@ -190,7 +199,7 @@ def classify(lam: Partition, nu: Partition, s: int) -> TripleClass:
     if (
         horizontal_strip(lam, inter)
         and horizontal_strip(nu, inter)
-        and s == max(lam.size, nu.size) - inter.size
+        and s == _distance(lam, nu)
     ):
         return TripleClass.CO_PIERI_HORIZONTAL
     if lam == nu and _is_staircase(lam) and s <= lam[-1]:
@@ -214,41 +223,29 @@ def _walk(lam: Partition, nu: Partition, s: int, budget: int, steps=None) -> lis
     """The one path walker.  Each level tries _moves(cur) in ascending
     step order, so paths come out in ascending sort_key.  A move is skipped
     past the removal budget (a dummy step removes), outside steps when
-    given, or when nu is out of reach: over = |cur| - |cur & nu| and
-    short = |nu| - |cur & nu| each move by at most one a step, so both
-    must stay <= the steps left."""
+    given, or when _distance to nu exceeds the steps left after it."""
     results: list[KroneckerTableau] = []
     path: list[Step] = []
 
-    def walk(cur: Partition, left: int, spent: int, over: int, short: int):
+    def walk(cur: Partition, left: int, spent: int):
         if not left:
             results.append(KroneckerTableau(lam, tuple(path)))
             return
         left -= 1
         for st, nxt in _moves(cur).items():
-            p, q = st.remove_row, st.add_row
-            if p and spent == budget or steps is not None and st not in steps:
-                continue
-            o, sh = over, short
-            if p:
-                if cur.row(p) > nu.row(p):
-                    o -= 1
-                else:
-                    sh += 1
-            if q:
-                if cur.row(q) - (p == q) < nu.row(q):
-                    sh -= 1
-                else:
-                    o += 1
-            if o > left or sh > left:
+            removes = st.remove_row > 0
+            if (
+                removes and spent == budget
+                or steps is not None and st not in steps
+                or _distance(nxt, nu) > left
+            ):
                 continue
             path.append(st)
-            walk(nxt, left, spent + (p > 0), o, sh)
+            walk(nxt, left, spent + removes)
             path.pop()
 
-    shared = sum(map(min, lam, nu))
-    if lam.size - shared <= s and nu.size - shared <= s:
-        walk(lam, s, 0, lam.size - shared, nu.size - shared)
+    if _distance(lam, nu) <= s:
+        walk(lam, s, 0)
     return results
 
 
@@ -262,8 +259,8 @@ def enumerate_std0(lam: Partition, nu: Partition, s: int) -> list[KroneckerTable
     """The quotient-basis subset of enumerate_std, in the same order.
 
     Maximal depth (s = |nu| - |lam|): the whole of Std, all pure adds.  A
-    zero removal budget prunes removals, and the reach count short, equal
-    to the steps left here, prunes d(0) and adds outside nu.  One-row
+    zero removal budget prunes removals, and _distance, equal to the steps
+    left here, prunes d(0) and adds outside nu.  One-row
     pairs: paths over {r(1), d(1), a(1)} whose removals (every step with
     removal half in row 1, so d(1) counts too) number at most |lam|.
     Anything else is unsupported.

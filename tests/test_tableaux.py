@@ -252,6 +252,58 @@ def test_walker_removes_only_from_removable_rows(cold_moves):
     assert enumerate_std0(P("4"), P("4"), 3)
 
 
+class _FirstPath(Exception):
+    pass
+
+
+def test_reach_test_is_exact(monkeypatch):
+    # nu is reachable from lam in s steps exactly when _distance allows it.
+    # Std is non-empty iff the walker completes a path, so the walk stops
+    # at its first one (s = 6 alone has 1.7 million paths here).
+    def first_path(*args):
+        raise _FirstPath
+
+    monkeypatch.setattr(tableaux, "KroneckerTableau", first_path)
+    shapes = partitions_up_to(4)
+    checked = 0
+    for lam, nu, s in itertools.product(shapes, shapes, range(7)):
+        try:
+            nonempty = bool(enumerate_std(lam, nu, s))
+        except _FirstPath:
+            nonempty = True
+        assert nonempty == (tableaux._distance(lam, nu) <= s), (lam, nu, s)
+        checked += 1
+    assert checked == 1008
+
+
+def test_walk_has_no_dead_ends(monkeypatch):
+    # the reach test prunes tightly: the walker expands a shape only on a
+    # proper prefix of some returned path (one-row Std0 is left out, since
+    # its removal budget does leave dead ends, e.g. ((1), (1), 3))
+    calls = 0
+    real = tableaux._moves
+
+    def moves(cur):
+        nonlocal calls
+        calls += 1
+        return real(cur)
+
+    monkeypatch.setattr(tableaux, "_moves", moves)
+    shapes = partitions_up_to(4)
+    walks = [(enumerate_std, lam, nu, s) for lam, nu, s in itertools.product(shapes, shapes, range(6))]
+    walks += [
+        (enumerate_std0, lam, nu, nu.size - lam.size)
+        for lam, nu in itertools.product(shapes, shapes)
+        if lam.size <= nu.size
+    ]
+    assert len(walks) == 956
+    for enumerate_paths, lam, nu, s in walks:
+        calls = 0
+        paths = enumerate_paths(lam, nu, s)
+        prefixes = {t.steps[:k] for t in paths for k in range(s)}
+        assert calls == len(prefixes), (enumerate_paths.__name__, lam, nu, s)
+
+
 BOTH = (enumerate_std, enumerate_std0)
 
 
