@@ -5,6 +5,11 @@ Kostka numbers and standard-tableaux counts.
 Everything here is exact integer arithmetic and deliberately shares no
 code with the path/orbit pipeline, so the two can cross-validate each
 other.
+
+Characters run on the abacus (James-Kerber, The Representation Theory of
+the Symmetric Group, 2.7): a shape is its beta-set held as an int bead
+mask, a rim-hook removal is a few bit operations on it, and the
+character memo is keyed on the mask.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import Iterator
 
-from .partitions import Partition, contains, format_partition, pad
+from .partitions import Partition, contains, format_partition, pad, parse_partition
 
 
 class SizeMismatch(ValueError):
@@ -48,45 +53,43 @@ def centralizer_order(rho) -> int:
 
 
 # Shared read-mostly memo table; inserts are idempotent so concurrent use
-# is benign.  Keyed on (shape, remaining cycles), largest cycle stripped
-# first.
-_CHAR_CACHE: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+# is benign.  Keyed on (bead mask, remaining cycles), largest cycle
+# stripped first.
+_CHAR_CACHE: dict[tuple[int, tuple[int, ...]], int] = {}
 
 
-def _border_strips(lam: tuple[int, ...], k: int):
-    """All removals of a length-k border strip from lam via beta-numbers.
-
-    Yields (smaller shape, strip height).
-    """
+def _mask(lam: tuple[int, ...]) -> int:
+    """The beta-set of lam as an int: one bead at lam_i + len(lam) - 1 - i."""
     length = len(lam)
-    beta = [lam[i] + (length - 1 - i) for i in range(length)]
-    beta_set = set(beta)
-    for b in beta:
-        nb = b - k
-        if nb < 0 or nb in beta_set:
-            continue
-        height = sum(1 for c in beta if nb < c < b)
-        new_beta = sorted((beta_set - {b}) | {nb}, reverse=True)
-        shape = tuple(
-            x - (length - 1 - i) for i, x in enumerate(new_beta)
-        )
-        while shape and shape[-1] == 0:
-            shape = shape[:-1]
-        yield shape, height
+    return sum(1 << (part + length - 1 - i) for i, part in enumerate(lam))
 
 
-def _char(lam: tuple[int, ...], rho: tuple[int, ...]) -> int:
+def _shape(mask: int) -> tuple[int, ...]:
+    """The partition with beta-set mask; only the cache file needs it."""
+    beads = [b for b in range(mask.bit_length()) if mask >> b & 1]
+    return tuple(b - i for i, b in enumerate(beads))[::-1]
+
+
+def _char(mask: int, rho: tuple[int, ...]) -> int:
+    """Murnaghan-Nakayama on the abacus: a k-rim hook is a bead at b moved
+    to an empty b - k, signed by the parity of the beads in between."""
     if not rho:
         return 1
-    key = (lam, rho)
+    key = (mask, rho)
     cached = _CHAR_CACHE.get(key)
     if cached is not None:
         return cached
     k, rest = rho[0], rho[1:]
     value = 0
-    for shape, height in _border_strips(lam, k):
-        term = _char(shape, rest)
-        value += -term if height % 2 else term
+    hooks = mask & ~(mask << k) & ~((1 << k) - 1)
+    while hooks:
+        top = hooks & -hooks
+        hooks ^= top
+        low = top >> k
+        moved = mask ^ top ^ low
+        moved >>= (moved ^ (moved + 1)).bit_length() - 1  # zero parts out
+        term = _char(moved, rest)
+        value += -term if (mask & (top - low)).bit_count() % 2 else term
     _CHAR_CACHE[key] = value
     return value
 
@@ -96,7 +99,7 @@ def character(lam: Partition, rho) -> int:
     rho_parts = Partition(rho)
     if lam.size != rho_parts.size:
         raise SizeMismatch(f"|{lam}| != |{rho_parts}|")
-    return _char(tuple(lam), tuple(rho_parts))
+    return _char(_mask(lam), tuple(rho_parts))
 
 
 def kronecker(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -105,9 +108,14 @@ def kronecker(lam: Partition, mu: Partition, nu: Partition) -> int:
     if mu.size != n or nu.size != n:
         raise SizeMismatch("all three partitions must have equal size")
     nfact = math.factorial(n)
+    masks = _mask(lam), _mask(mu), _mask(nu)
     total = 0
     for rho in partitions_of(n):
-        term = _char(tuple(lam), rho) * _char(tuple(mu), rho) * _char(tuple(nu), rho)
+        term = 1
+        for mask in masks:  # a class with one zero character adds nothing
+            term *= _char(mask, rho)
+            if not term:
+                break
         if term:
             total += term * (nfact // centralizer_order(rho))
     value, rest = divmod(total, nfact)
@@ -220,9 +228,11 @@ def standard_count(mu: Partition) -> int:
 
 def save_character_cache(path: str) -> None:
     """Write the memo table as sorted "shape|cycles|value" lines."""
+    masks = {mask for mask, _ in _CHAR_CACHE}
+    shapes = {mask: format_partition(_shape(mask)) for mask in masks}
     lines = sorted(
-        f"{','.join(map(str, lam)) or '0'}|{','.join(map(str, rho)) or '0'}|{v}"
-        for (lam, rho), v in _CHAR_CACHE.items()
+        f"{shapes[mask]}|{','.join(map(str, rho)) or '0'}|{v}"
+        for (mask, rho), v in _CHAR_CACHE.items()
     )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + ("\n" if lines else ""))
@@ -231,14 +241,16 @@ def save_character_cache(path: str) -> None:
 def load_character_cache(path: str) -> int:
     """Merge entries from a cache file; returns the number loaded."""
     loaded = 0
+    masks: dict[str, int] = {}  # one parse per distinct shape text
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line:
                 continue
             lam_s, rho_s, val = line.split("|")
-            lam = () if lam_s == "0" else tuple(int(x) for x in lam_s.split(","))
+            if lam_s not in masks:
+                masks[lam_s] = _mask(parse_partition(lam_s))
             rho = () if rho_s == "0" else tuple(int(x) for x in rho_s.split(","))
-            _CHAR_CACHE[(lam, rho)] = int(val)
+            _CHAR_CACHE[(masks[lam_s], rho)] = int(val)
             loaded += 1
     return loaded

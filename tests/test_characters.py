@@ -160,7 +160,7 @@ def test_stable_oracle_evaluates_once_at_n_star(monkeypatch, lam, nu, mu, n_star
 def test_kronecker_rejects_corrupt_character(monkeypatch, planted):
     # g((2),(2),(2)) = (chi((2))^3 + 1) / 2! with the true chi = 1; a planted
     # 2 gives 9, no multiple of 2!, and -3 gives -26, a negative multiple
-    monkeypatch.setitem(characters._CHAR_CACHE, ((2,), (2,)), planted)
+    monkeypatch.setitem(characters._CHAR_CACHE, (characters._mask((2,)), (2,)), planted)
     with pytest.raises(ArithmeticError):
         kronecker(P("2"), P("2"), P("2"))
 
@@ -223,7 +223,7 @@ def test_character_cache_roundtrip(tmp_path, monkeypatch):
     monkeypatch.setattr(characters, "_CHAR_CACHE", cache)
     character(P("3,2"), (2, 2, 1))  # fills a fresh memo
     character(P("2,1"), (3,))
-    cache[((), ())] = 1
+    cache[(characters._mask(()), ())] = 1
     saved = dict(cache)
     path = tmp_path / "characters.cache"
     save_character_cache(str(path))
@@ -233,3 +233,38 @@ def test_character_cache_roundtrip(tmp_path, monkeypatch):
     cache.clear()
     assert load_character_cache(str(path)) == len(saved)
     assert cache == saved
+
+
+def test_character_cache_file_format(tmp_path, monkeypatch):
+    monkeypatch.setattr(characters, "_CHAR_CACHE", {})
+    character(P("3,2"), (2, 2, 1))
+    path = tmp_path / "characters.cache"
+    save_character_cache(str(path))
+    assert path.read_text().splitlines() == ["1|1|1", "3,2|2,2,1|1", "3|2,1|1"]
+    # a planted chi^(2)((2)) = 2 is read back by the recursion, as in
+    # test_kronecker_rejects_corrupt_character
+    path.write_text("2|2|2\n")
+    assert load_character_cache(str(path)) == 1
+    with pytest.raises(ArithmeticError):
+        kronecker(P("2"), P("2"), P("2"))
+
+
+def test_character_closed_forms_at_wide_masks(monkeypatch):
+    # chi at (n-1,1), (n-2,2) and (n-2,1,1) from the fixed points m1 and
+    # 2-cycles m2 of rho, by counting fixed points on 1-sets, 2-sets and
+    # ordered pairs; no rim hook is involved
+    monkeypatch.setattr(characters, "_CHAR_CACHE", {})
+    for n in range(4, 28):
+        for rho in partitions_of(n):
+            m1, m2 = rho.count(1), rho.count(2)
+            x = m1 - 1
+            assert character(Partition((n - 1, 1)), rho) == m1 - 1
+            assert character(Partition((n - 2, 2)), rho) == math.comb(m1, 2) + m2 - m1
+            assert character(Partition((n - 2, 1, 1)), rho) == x * (x - 1) // 2 - m2
+
+
+def test_bead_mask_roundtrip():
+    for lam in partitions_up_to(10):
+        mask = characters._mask(lam)
+        assert characters._shape(mask) == lam
+        assert not mask & 1  # no bead for a zero part
