@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 
 from .characters import (
@@ -297,6 +298,10 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    # A reader that closes the pipe early (| head) ends the command
+    # silently, as it ends other filters, not in a BrokenPipeError.
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

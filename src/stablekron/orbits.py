@@ -14,12 +14,11 @@ those multisets, that is when its size times prod_i m_i! (m_i the runs of
 equal pairs in the key) is prod_c mu_c!.  Three facts prove it: adjacent
 swaps inside a frame generate that frame's symmetric group; the level a
 frame ends on depends only on its multiset; and Std0 membership does not
-depend on the order inside a frame (maximal depth: pure adds that reach
-nu; one-row: the removal budget counts removals only).  So a swap never
-leaves a group, an orbit whose swaps are all defined is a whole group,
-and a whole group has all its swaps defined.  The breadth-first closure
-(orbit_of, enumerate_orbits) stays as the reference, and as the only way
-to see orbits that are not semistandard.
+depend on the order inside a frame (each row of tableaux._STD0 says why).
+So a swap never leaves a group, an orbit whose swaps are all defined is a
+whole group, and a whole group has all its swaps defined.  The
+breadth-first closure (orbit_of, enumerate_orbits) stays as the
+reference, and as the only way to see orbits that are not semistandard.
 """
 
 from __future__ import annotations

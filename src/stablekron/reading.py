@@ -55,7 +55,7 @@ def is_lattice(w: ReadingWord) -> bool:
 def stable_kronecker_copieri(lam: Partition, nu: Partition, mu: Partition) -> int:
     """The lattice count: semistandard orbits with lattice reading word.
 
-    Only defined on the families with a quotient basis; raises
+    Only defined on the families in tableaux._STD0; raises
     UnsupportedFamily (from enumerate_std0) otherwise.
     """
     orbits = enumerate_sstd(lam, nu, mu.size, mu)

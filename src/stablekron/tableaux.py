@@ -2,11 +2,11 @@
 
 A path of length s from lam to nu is a sequence of integral steps, each
 removing a box (or nothing) and then adding a box (or nothing).  This
-module enumerates the full path sets, the quotient subsets for the two
-families where they are defined (maximal depth and one-row pairs), the
-adjacent-step swap, and the classification of triples.  Which steps are
-legal from a shape is decided once, by the cached _moves, and whether nu
-is still in reach once, by the cached _distance.
+module enumerates the full path sets, the quotient subsets of the
+families in the _STD0 table, the adjacent-step swap, and the
+classification of triples.  Which steps are legal from a shape is
+decided once, by the cached _moves, and whether nu is still in reach
+once, by the cached _distance.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .partitions import (
 
 
 class UnsupportedFamily(ValueError):
-    """The quotient basis is only defined for maximal-depth and one-row triples."""
+    """The triple's family has no row in _STD0, so no quotient basis."""
 
 
 @total_ordering
@@ -216,7 +216,16 @@ def _is_staircase(lam: Partition) -> bool:
     return all(lam[i] == d * (l - i) for i in range(l))
 
 
-_ONE_ROW_STEPS = frozenset((Step.remove(1), Step.dummy(1), Step.add(1)))
+# Each family with a quotient basis: (removal budget of (lam, s), step set
+# or None for all), under why its membership is order-free inside a frame.
+_STD0 = {
+    # budget 0: every member is pure adds, in whatever order
+    TripleClass.MAXIMAL_DEPTH: (lambda lam, s: 0, None),
+    # a removal count and a step set both read only the multiset of steps
+    TripleClass.ONE_ROW_PAIR: (
+        lambda lam, s: lam.size, frozenset((Step.remove(1), Step.dummy(1), Step.add(1)))
+    ),
+}
 
 
 def _walk(lam: Partition, nu: Partition, s: int, budget: int, steps=None) -> list[KroneckerTableau]:
@@ -256,24 +265,16 @@ def enumerate_std(lam: Partition, nu: Partition, s: int) -> list[KroneckerTablea
 
 
 def enumerate_std0(lam: Partition, nu: Partition, s: int) -> list[KroneckerTableau]:
-    """The quotient-basis subset of enumerate_std, in the same order.
-
-    Maximal depth (s = |nu| - |lam|): the whole of Std, all pure adds.  A
-    zero removal budget prunes removals, and _distance, equal to the steps
-    left here, prunes d(0) and adds outside nu.  One-row
-    pairs: paths over {r(1), d(1), a(1)} whose removals (every step with
-    removal half in row 1, so d(1) counts too) number at most |lam|.
-    Anything else is unsupported.
-    """
-    tag = classify(lam, nu, s)
-    if tag is TripleClass.MAXIMAL_DEPTH:
-        return _walk(lam, nu, s, 0)
-    if tag is TripleClass.ONE_ROW_PAIR:
-        return _walk(lam, nu, s, lam.size, _ONE_ROW_STEPS)
-    raise UnsupportedFamily(
-        f"no quotient basis for lambda={lam}, nu={nu}, s={s}: only "
-        "maximal-depth (|lambda| + s = |nu|) and one-row triples have one"
-    )
+    """The quotient-basis subset of enumerate_std, in the same order: the
+    walk under the _STD0 row of the triple's class, or UnsupportedFamily."""
+    row = _STD0.get(classify(lam, nu, s))
+    if row is None:
+        names = " and ".join(tag.value for tag in _STD0)
+        raise UnsupportedFamily(
+            f"no quotient basis for lambda={lam}, nu={nu}, s={s}: only {names} triples have one"
+        )
+    budget, steps = row
+    return _walk(lam, nu, s, budget(lam, s), steps)
 
 
 def swap(t: KroneckerTableau, k: int):

@@ -68,9 +68,10 @@ def test_count_copieri_unsupported_is_domain_error():
     )
     assert code == 2
     assert not out
-    lines = err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:")
-    assert "lambda=2,1, nu=2,1" in lines[0] and "Partition(" not in lines[0]
+    assert err == (
+        "error: no quotient basis for lambda=2,1, nu=2,1, s=1: "
+        "only maximal-depth and one-row triples have one\n"
+    )
 
 
 def test_enumerate_std0():

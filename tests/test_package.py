@@ -1,9 +1,12 @@
 import os
 import shlex
+import signal
 import subprocess
 import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import stablekron
 from stablekron.cli import main
@@ -91,3 +94,24 @@ def test_module_entry_point_exit_codes():
     assert (code, out) == (2, "")
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE here")
+def test_closed_pipe_ends_silently():
+    # 111,600 bytes of output, more than a pipe buffer: the reader takes
+    # one line and closes the pipe, and the command ends by SIGPIPE with
+    # nothing on stderr, not in a BrokenPipeError traceback and exit 1
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = ["enumerate", "std", "-l", "2,1", "-n", "2,1", "-s", "5"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "stablekron.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+    ) as proc:
+        assert proc.stdout.readline() == "4934 tableaux\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == -signal.SIGPIPE
+    assert err == ""

@@ -221,19 +221,57 @@ def test_std0_one_row_budget():
     assert len(enumerate_std0(P("4"), P("4"), 3)) == 7
 
 
-def test_std0_one_row_is_std_filtered_by_definition():
-    # Std0 of a one-row pair is the list of Std paths over {r1, d1, a1}
-    # with at most |lam| removal halves, in the same order
-    allowed = {Step.remove(1), Step.dummy(1), Step.add(1)}
+def test_std0_is_std_filtered_by_definition():
+    # Std0 of each family is the list of Std paths within its removal
+    # budget and step set, in the same order.  The rows are written out
+    # here, not read from _STD0: maximal depth has budget 0 and every step;
+    # a one-row pair has budget |lam| over {r1, d1, a1}, and a removal
+    # half (so d1 too) spends one.
+    one_row = {Step.remove(1), Step.dummy(1), Step.add(1)}
     rows = [Partition((a,) if a else ()) for a in range(5)]
-    for lam, nu, s in itertools.product(rows, rows, range(6)):
+    shapes = partitions_up_to(5)
+    cases = [
+        (lam, nu, s, lam.size, one_row)
+        for lam, nu, s in itertools.product(rows, rows, range(6))
+    ] + [
+        (lam, nu, nu.size - lam.size, 0, None)
+        for lam, nu in itertools.product(shapes, shapes)
+        if contains(lam, nu)
+    ]
+    families = set()
+    for lam, nu, s, budget, allowed in cases:
         want = [
             t
             for t in enumerate_std(lam, nu, s)
-            if set(t.steps) <= allowed
-            and sum(st.remove_row > 0 for st in t.steps) <= lam.size
+            if (allowed is None or set(t.steps) <= allowed)
+            and sum(st.remove_row > 0 for st in t.steps) <= budget
         ]
         assert enumerate_std0(lam, nu, s) == want, (lam, nu, s)
+        families.add(classify(lam, nu, s))
+    # a row added to _STD0 needs its case here
+    assert families == set(tableaux._STD0)
+
+
+def test_std0_is_closed_under_valid_swaps():
+    # membership in every _STD0 row is order-free: a defined swap of
+    # adjacent steps never leaves Std0, as the orbits grouping proof needs
+    shapes = partitions_up_to(5)
+    families, swaps = set(), 0
+    for lam, nu, s in itertools.product(shapes, shapes, range(7)):
+        try:
+            paths = enumerate_std0(lam, nu, s)
+        except UnsupportedFamily:
+            continue
+        families.add(classify(lam, nu, s))
+        members = set(paths)
+        for t in paths:
+            for k in range(1, s):
+                swapped = swap(t, k)
+                if swapped is not None:
+                    assert swapped in members, (t, k)
+                    swaps += 1
+    assert families == set(tableaux._STD0)
+    assert swaps >= 7000
 
 
 def test_walker_removes_only_from_removable_rows(cold_moves):
@@ -326,8 +364,12 @@ def test_paths_come_in_ascending_sort_key(lam, nu, s, calls):
 
 
 def test_std0_unsupported():
-    with pytest.raises(UnsupportedFamily):
+    with pytest.raises(UnsupportedFamily) as exc:
         enumerate_std0(P("2,1"), P("2,1"), 1)
+    assert str(exc.value) == (
+        "no quotient basis for lambda=2,1, nu=2,1, s=1: "
+        "only maximal-depth and one-row triples have one"
+    )
 
 
 # ---------------------------------------------------------------- swaps
