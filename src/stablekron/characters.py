@@ -14,6 +14,7 @@ character memo is keyed on the mask.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterator
 
@@ -102,23 +103,28 @@ def character(lam: Partition, rho) -> int:
     return _char(_mask(lam), tuple(rho_parts))
 
 
+@functools.cache
+def _classes(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Each class of S_n as (rho, n!/z_rho), in partitions_of(n) order."""
+    nfact = math.factorial(n)
+    return tuple((rho, nfact // centralizer_order(rho)) for rho in partitions_of(n))
+
+
 def kronecker(lam: Partition, mu: Partition, nu: Partition) -> int:
     """g(lam, mu, nu) = sum_rho chi^lam chi^mu chi^nu / z_rho."""
     n = lam.size
     if mu.size != n or nu.size != n:
         raise SizeMismatch("all three partitions must have equal size")
-    nfact = math.factorial(n)
     masks = _mask(lam), _mask(mu), _mask(nu)
     total = 0
-    for rho in partitions_of(n):
-        term = 1
+    for rho, size in _classes(n):
+        term = size
         for mask in masks:  # a class with one zero character adds nothing
             term *= _char(mask, rho)
             if not term:
                 break
-        if term:
-            total += term * (nfact // centralizer_order(rho))
-    value, rest = divmod(total, nfact)
+        total += term
+    value, rest = divmod(total, math.factorial(n))
     if rest or value < 0:
         raise ArithmeticError(f"character sum {total} is not a multiple >= 0 of {n}!")
     return value
@@ -137,15 +143,20 @@ def min_padding(lam: Partition, nu: Partition, mu: Partition) -> int:
 
 
 def stable_kronecker_oracle(lam: Partition, nu: Partition, mu: Partition) -> int:
-    """Limit of the padded coefficients: one evaluation at
-    n* = max(|lam| + |nu| + |mu|, min_padding), past which it is constant.
+    """Limit of the padded coefficients, evaluated once at
+    n2 = max(min_padding, floor((|lam| + |nu| + |mu| + lam_1 + nu_1 + mu_1) / 2)),
+    from which on they are constant (Briand-Orellana-Rosas, The stability
+    of the Kronecker product of Schur functions, J. Algebra 2011).
 
-    For n >= |p| + p_1, chi^{p[n]} is a character polynomial of weighted
-    degree |p| (Macdonald, Symmetric Functions and Hall Polynomials, I.7
-    Ex. 14); the S_n-mean of a product of cycle-count binomials of weighted
-    degree d is the same for every n >= d (Diaconis-Shahshahani 1994).
+    The tests check n2 against n* = max(|lam| + |nu| + |mu|, min_padding),
+    from which on constancy has this short proof: for n >= |p| + p_1,
+    chi^{p[n]} is a character polynomial of weighted degree |p|
+    (Macdonald, Symmetric Functions and Hall Polynomials, I.7 Ex. 14); the
+    S_n-mean of a product of cycle-count binomials of weighted degree d is
+    the same for every n >= d (Diaconis-Shahshahani 1994).
     """
-    n = max(lam.size + nu.size + mu.size, min_padding(lam, nu, mu), 1)
+    total = sum(p.size + p.row(1) for p in (lam, nu, mu))
+    n = max(total // 2, min_padding(lam, nu, mu), 1)
     return padded_kronecker(lam, nu, mu, n)
 
 

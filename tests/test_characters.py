@@ -135,16 +135,17 @@ def test_stable_oracle_survives_early_plateau():
 
 
 @pytest.mark.parametrize(
-    "lam, nu, mu, n_star",
+    "lam, nu, mu, n_two",
     [
         ("", "", "", 1),
         ("1", "1", "", 2),
         ("5", "", "", 10),  # min_padding exceeds the total size
         ("4", "4", "3", 11),
-        ("7,5,1,1", "6,3,3", "2,2,1", 31),  # criterion 4's triple
+        ("2,1", "2,1", "2,1", 7),  # min_padding 5 < n2 < n* = 9
+        ("7,5,1,1", "6,3,3", "2,2,1", 23),  # criterion 4's triple; n* = 31
     ],
 )
-def test_stable_oracle_evaluates_once_at_n_star(monkeypatch, lam, nu, mu, n_star):
+def test_stable_oracle_evaluates_once_at_n_star(monkeypatch, lam, nu, mu, n_two):
     calls = []
 
     def fake(*args):
@@ -153,7 +154,38 @@ def test_stable_oracle_evaluates_once_at_n_star(monkeypatch, lam, nu, mu, n_star
 
     monkeypatch.setattr(characters, "padded_kronecker", fake)
     assert stable_kronecker_oracle(P(lam), P(nu), P(mu)) == 7
-    assert calls == [(P(lam), P(nu), P(mu), n_star)]
+    assert calls == [(P(lam), P(nu), P(mu), n_two)]
+
+
+def test_padded_kronecker_is_constant_from_n_two_to_n_star():
+    # n* is where the character-polynomial proof starts; the oracle
+    # evaluates at the Briand-Orellana-Rosas point n2 <= n*, so the padded
+    # value must already be the limit there.  Some triples change value
+    # just below n2, so the point cannot be set one lower.
+    triples = list(itertools.combinations_with_replacement(partitions_up_to(5), 3))
+    assert len(triples) == 1330
+    sharp = 0
+    for lam, nu, mu in triples:
+        floor = min_padding(lam, nu, mu)
+        n_star = max(lam.size + nu.size + mu.size, floor, 1)
+        n_two = max(sum(p.size + p.row(1) for p in (lam, nu, mu)) // 2, floor, 1)
+        assert n_two <= n_star
+        limit = padded_kronecker(lam, nu, mu, n_two)
+        for n in range(n_two + 1, n_star + 1):
+            assert padded_kronecker(lam, nu, mu, n) == limit, (lam, nu, mu, n)
+        assert stable_kronecker_oracle(lam, nu, mu) == limit
+        if n_two > floor and padded_kronecker(lam, nu, mu, n_two - 1) != limit:
+            sharp += 1
+    assert sharp == 584
+
+
+def test_class_table():
+    for n in range(13):
+        classes = characters._classes(n)
+        assert [rho for rho, _ in classes] == list(partitions_of(n))
+        for rho, size in classes:
+            assert size * centralizer_order(rho) == math.factorial(n)
+        assert sum(size for _, size in classes) == math.factorial(n)
 
 
 @pytest.mark.parametrize("planted", [2, -3])
