@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from collections import Counter, deque
 from dataclasses import dataclass
+from functools import cache
 from operator import attrgetter
 
 from .partitions import Partition
@@ -36,9 +37,11 @@ class NotMaximalDepth(ValueError):
     """Classical fillings only exist for pure-add (maximal-depth) orbits."""
 
 
+@cache
 def frames(mu: Partition) -> tuple[int, ...]:
     """The frame number of each step position 1..|mu|: frame c holds mu_c
-    positions, so (2,2,1) gives (1,1,2,2,3)."""
+    positions, so (2,2,1) gives (1,1,2,2,3).  Cached: the reading word
+    of every orbit of a weight asks for the same tuple."""
     return tuple(c for c, part in enumerate(mu, start=1) for _ in range(part))
 
 

@@ -5,8 +5,10 @@ removing a box (or nothing) and then adding a box (or nothing).  This
 module enumerates the full path sets, the quotient subsets of the
 families in the _STD0 table, the adjacent-step swap, and the
 classification of triples.  Which steps are legal from a shape is
-decided once, by the cached _moves, and whether nu is still in reach
-once, by the cached _distance.
+decided once, by the cached _moves, and how far nu is from a shape once,
+by the cached _distance.  The walker reads both through _options, one
+cached table per (shape, nu, step set) of the moves it may take and
+their distances to nu, so its inner loop is one reach comparison.
 """
 
 from __future__ import annotations
@@ -122,8 +124,24 @@ def _distance(cur: Partition, nu: Partition) -> int:
     """The fewest steps from cur to nu: max(|cur|, |nu|) - |cur & nu|.
     A step removes at most one box and adds at most one, and d0 pads a
     shorter path, so nu is in reach of cur in k steps iff this is <= k.
-    Cached like _moves: one entry per (shape, nu) pair a walk visits."""
+    Cached: one entry per option target that _options stores, plus the
+    walker's root test and classify."""
     return max(cur.size, nu.size) - sum(map(min, cur, nu))
+
+
+@cache
+def _options(cur: Partition, nu: Partition, steps) -> tuple[tuple, tuple]:
+    """The moves of _moves(cur) whose step is in steps (None: every step),
+    each as (step, next, removes, _distance(next, nu)) in ascending step
+    order: every option, then the options that remove nothing (a dummy
+    step in a row > 0 removes).  One entry per (shape, nu, step set) a
+    walk expands; the removal budget is left to the walker."""
+    every = tuple(
+        (st, nxt, st.remove_row > 0, _distance(nxt, nu))
+        for st, nxt in _moves(cur).items()
+        if steps is None or st in steps
+    )
+    return every, tuple(option for option in every if not option[2])
 
 
 @dataclass(frozen=True)
@@ -229,10 +247,11 @@ _STD0 = {
 
 
 def _walk(lam: Partition, nu: Partition, s: int, budget: int, steps=None) -> list[KroneckerTableau]:
-    """The one path walker.  Each level tries _moves(cur) in ascending
-    step order, so paths come out in ascending sort_key.  A move is skipped
-    past the removal budget (a dummy step removes), outside steps when
-    given, or when _distance to nu exceeds the steps left after it."""
+    """The one path walker.  Each level tries _options(cur, nu, steps),
+    the legal moves in steps in ascending step order, so paths come out in
+    ascending sort_key: all of them while removals are left in the budget,
+    else those that remove nothing.  A move is skipped when its distance
+    to nu exceeds the steps left after it."""
     results: list[KroneckerTableau] = []
     path: list[Step] = []
 
@@ -241,13 +260,8 @@ def _walk(lam: Partition, nu: Partition, s: int, budget: int, steps=None) -> lis
             results.append(KroneckerTableau(lam, tuple(path)))
             return
         left -= 1
-        for st, nxt in _moves(cur).items():
-            removes = st.remove_row > 0
-            if (
-                removes and spent == budget
-                or steps is not None and st not in steps
-                or _distance(nxt, nu) > left
-            ):
+        for st, nxt, removes, dist in _options(cur, nu, steps)[spent == budget]:
+            if dist > left:
                 continue
             path.append(st)
             walk(nxt, left, spent + removes)

@@ -106,6 +106,22 @@ def test_moves_is_the_one_step_definition():
         assert list(tableaux._moves(lam)) == sorted(legal, key=lambda st: st.sort_key), lam
 
 
+def test_options_are_moves_in_the_step_set():
+    # the walker's table lists the legal moves in the step set in _moves
+    # order, the ones that remove nothing as a subsequence, and each
+    # target's distance to nu
+    shapes = partitions_up_to(5)
+    one_row = frozenset((Step.remove(1), Step.dummy(1), Step.add(1)))
+    for cur, nu, steps in itertools.product(shapes, shapes, (None, one_row)):
+        every, keep = tableaux._options(cur, nu, steps)
+        moves = [(st, nxt) for st, nxt in tableaux._moves(cur).items() if steps is None or st in steps]
+        assert [(st, nxt) for st, nxt, _, _ in every] == moves, (cur, nu, steps)
+        assert keep == tuple(o for o in every if o[0].remove_row == 0), (cur, nu, steps)
+        for st, nxt, removes, dist in every:
+            assert removes == (st.remove_row > 0)
+            assert dist == tableaux._distance(nxt, nu), (cur, nu, st)
+
+
 # -------------------------------------------------------------- tableaux
 
 
@@ -197,12 +213,15 @@ def test_std0_maximal_depth_is_pure_add():
 
 @pytest.fixture
 def cold_moves(monkeypatch):
-    """monkeypatch, with the process-wide move cache emptied before the
-    test patches the builder and again before the patch is undone, so the
-    test reaches the builder and leaves no patched entry behind."""
+    """monkeypatch, with the process-wide move and option caches emptied
+    before the test patches the builder and again before the patch is
+    undone, so the test reaches the builder and leaves no patched entry
+    behind."""
     tableaux._moves.cache_clear()
+    tableaux._options.cache_clear()
     yield monkeypatch
     tableaux._moves.cache_clear()
+    tableaux._options.cache_clear()
 
 
 def test_std0_maximal_depth_not_contained(cold_moves):
@@ -278,8 +297,11 @@ def test_walker_removes_only_from_removable_rows(cold_moves):
     # _moves reads removal legality off the rows before it builds a
     # level, so every removal it asks for succeeds
     real = tableaux.remove_box
+    removed = 0
 
     def remove_box(lam, i):
+        nonlocal removed
+        removed += 1
         smaller = real(lam, i)
         assert smaller is not None, (lam, i)
         return smaller
@@ -288,6 +310,8 @@ def test_walker_removes_only_from_removable_rows(cold_moves):
     for lam, nu, s in [("2,1", "3,3,2", 5), ("4", "4", 3), ("2,2", "3,1", 3)]:
         assert enumerate_std(P(lam), P(nu), s)
     assert enumerate_std0(P("4"), P("4"), 3)
+    # the caches were cold, so the walks built their levels here
+    assert removed > 0
 
 
 class _FirstPath(Exception):
@@ -319,14 +343,14 @@ def test_walk_has_no_dead_ends(monkeypatch):
     # proper prefix of some returned path (one-row Std0 is left out, since
     # its removal budget does leave dead ends, e.g. ((1), (1), 3))
     calls = 0
-    real = tableaux._moves
+    real = tableaux._options
 
-    def moves(cur):
+    def options(cur, nu, steps):
         nonlocal calls
         calls += 1
-        return real(cur)
+        return real(cur, nu, steps)
 
-    monkeypatch.setattr(tableaux, "_moves", moves)
+    monkeypatch.setattr(tableaux, "_options", options)
     shapes = partitions_up_to(4)
     walks = [(enumerate_std, lam, nu, s) for lam, nu, s in itertools.product(shapes, shapes, range(6))]
     walks += [
