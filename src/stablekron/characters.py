@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterator
+from collections.abc import Iterator
 
 from .partitions import Partition, contains, format_partition, pad, parse_partition
 

@@ -16,7 +16,9 @@ swaps inside a frame generate that frame's symmetric group; the level a
 frame ends on depends only on its multiset; and Std0 membership does not
 depend on the order inside a frame (each row of tableaux._STD0 says why).
 So a swap never leaves a group, an orbit whose swaps are all defined is a
-whole group, and a whole group has all its swaps defined.  The
+whole group, and a whole group has all its swaps defined.  Since frames
+are the only place mu enters, every weight of size s may share one Std0
+list, and enumerate_std0 holds it once per (lam, nu, s).  The
 breadth-first closure (orbit_of, enumerate_orbits) stays as the
 reference, and as the only way to see orbits that are not semistandard.
 """

@@ -1,5 +1,6 @@
 import pytest
 
+from stablekron import tableaux
 from stablekron.orbits import (
     NotMaximalDepth,
     enumerate_orbits,
@@ -168,6 +169,34 @@ def test_sstd_equals_semistandard_bfs_orbits():
         ], (lam, nu, mu)
         count += len(got)
     assert count > 1000
+
+
+def _orbits(lam, nu, mu):
+    return [(o.members, o.semistandard) for o in enumerate_sstd(lam, nu, mu.size, mu)]
+
+
+def test_sstd_walks_once_per_size(monkeypatch):
+    # every weight of size 5 shares one Std0 walk, and each weight's
+    # orbits are those a cold walk gives it
+    lam, nu = P("2,1"), P("3,3,2")
+    weights = [Partition(mu) for mu in partitions_of(5)]
+    cold = {}
+    for mu in weights:
+        tableaux._std0.cache_clear()
+        cold[mu] = _orbits(lam, nu, mu)
+    walks = 0
+    real = tableaux._walk
+
+    def walk(*args):
+        nonlocal walks
+        walks += 1
+        return real(*args)
+
+    tableaux._std0.cache_clear()
+    monkeypatch.setattr(tableaux, "_walk", walk)
+    assert {mu: _orbits(lam, nu, mu) for mu in weights} == cold
+    assert walks == 1
+    assert sum(map(len, cold.values())) > len(weights)
 
 
 def test_sstd_empty_case():

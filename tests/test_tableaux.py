@@ -213,15 +213,17 @@ def test_std0_maximal_depth_is_pure_add():
 
 @pytest.fixture
 def cold_moves(monkeypatch):
-    """monkeypatch, with the process-wide move and option caches emptied
-    before the test patches the builder and again before the patch is
-    undone, so the test reaches the builder and leaves no patched entry
-    behind."""
+    """monkeypatch, with the process-wide move, option and Std0 caches
+    emptied before the test patches the builder and again before the
+    patch is undone, so the test reaches the builder and leaves no
+    patched entry behind."""
     tableaux._moves.cache_clear()
     tableaux._options.cache_clear()
+    tableaux._std0.cache_clear()
     yield monkeypatch
     tableaux._moves.cache_clear()
     tableaux._options.cache_clear()
+    tableaux._std0.cache_clear()
 
 
 def test_std0_maximal_depth_not_contained(cold_moves):
@@ -360,6 +362,7 @@ def test_walk_has_no_dead_ends(monkeypatch):
     ]
     assert len(walks) == 956
     for enumerate_paths, lam, nu, s in walks:
+        tableaux._std0.cache_clear()  # a warm Std0 would answer without a walk
         calls = 0
         paths = enumerate_paths(lam, nu, s)
         prefixes = {t.steps[:k] for t in paths for k in range(s)}
@@ -388,12 +391,39 @@ def test_paths_come_in_ascending_sort_key(lam, nu, s, calls):
 
 
 def test_std0_unsupported():
-    with pytest.raises(UnsupportedFamily) as exc:
-        enumerate_std0(P("2,1"), P("2,1"), 1)
-    assert str(exc.value) == (
-        "no quotient basis for lambda=2,1, nu=2,1, s=1: "
-        "only maximal-depth and one-row triples have one"
-    )
+    # the failure is not cached: every call raises it again
+    for _ in range(2):
+        with pytest.raises(UnsupportedFamily) as exc:
+            enumerate_std0(P("2,1"), P("2,1"), 1)
+        assert str(exc.value) == (
+            "no quotient basis for lambda=2,1, nu=2,1, s=1: "
+            "only maximal-depth and one-row triples have one"
+        )
+
+
+def test_std0_returns_a_fresh_list():
+    first = enumerate_std0(P("2,1"), P("3,3,2"), 5)
+    want = list(first)
+    first.clear()
+    first.append(None)
+    second = enumerate_std0(P("2,1"), P("3,3,2"), 5)
+    assert second == want and len(want) == 16
+    assert second is not enumerate_std0(P("2,1"), P("3,3,2"), 5)
+
+
+def test_warm_std0_is_the_cold_walk():
+    # the held Std0, asked twice, is the walk under the triple's _STD0 row
+    shapes = partitions_up_to(4)
+    walked = 0
+    for lam, nu, s in itertools.product(shapes, shapes, range(5)):
+        row = tableaux._STD0.get(classify(lam, nu, s))
+        if row is None:
+            continue
+        budget, steps = row
+        cold = tableaux._walk(lam, nu, s, budget(lam, s), steps)
+        assert enumerate_std0(lam, nu, s) == enumerate_std0(lam, nu, s) == cold, (lam, nu, s)
+        walked += 1
+    assert walked > 100
 
 
 # ---------------------------------------------------------------- swaps
