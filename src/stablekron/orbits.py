@@ -18,21 +18,21 @@ depend on the order inside a frame (each row of tableaux._STD0 says why).
 So a swap never leaves a group, an orbit whose swaps are all defined is a
 whole group, and a whole group has all its swaps defined.  Since frames
 are the only place mu enters, every weight of size s may share one Std0
-list, and enumerate_std0 holds it once per (lam, nu, s).  The
-breadth-first closure (orbit_of, enumerate_orbits) stays as the
-reference, and as the only way to see orbits that are not semistandard.
+list, and enumerate_std0 holds it once per (lam, nu, s).
+
+The tests check this grouping against the swap closure in tests/reference.py.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from operator import attrgetter
 
 from .partitions import Partition
-from .tableaux import KroneckerTableau, enumerate_std0, swap
+from .tableaux import KroneckerTableau, enumerate_std0
 
 
 class NotMaximalDepth(ValueError):
@@ -50,12 +50,10 @@ def frames(mu: Partition) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class WeightedOrbit:
     """One ~mu equivalence class; members are sorted, the first is the
-    canonical representative.  semistandard records whether every interior
-    swap is defined at every member."""
+    canonical representative."""
 
     weight: Partition
     members: tuple[KroneckerTableau, ...]
-    semistandard: bool
 
     @property
     def representative(self) -> KroneckerTableau:
@@ -64,46 +62,6 @@ class WeightedOrbit:
     @property
     def size(self) -> int:
         return len(self.members)
-
-
-def orbit_of(t: KroneckerTableau, mu: Partition) -> WeightedOrbit:
-    """Breadth-first closure of t under defined swaps inside a frame."""
-    if t.length != mu.size:
-        raise ValueError(f"path length {t.length} != |mu| = {mu.size}")
-    fr = frames(mu)
-    interior = [k for k in range(1, t.length) if fr[k - 1] == fr[k]]
-    seen = {t}
-    queue = deque([t])
-    semistandard = True
-    while queue:
-        cur = queue.popleft()
-        for k in interior:
-            nxt = swap(cur, k)
-            if nxt is None:
-                semistandard = False
-            elif nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    members = tuple(sorted(seen, key=lambda m: m.sort_key))
-    return WeightedOrbit(mu, members, semistandard)
-
-
-def enumerate_orbits(
-    lam: Partition, nu: Partition, s: int, mu: Partition
-) -> list[WeightedOrbit]:
-    """All orbits (semistandard or not), ordered by representative."""
-    if mu.size != s:
-        raise ValueError(f"|mu| = {mu.size} must equal s = {s}")
-    # Std0 comes in ascending sort_key, so each unseen path is the least
-    # member of its orbit and the orbits come out in representative order.
-    seen: set[KroneckerTableau] = set()
-    orbits = []
-    for t in enumerate_std0(lam, nu, s):
-        if t not in seen:
-            orb = orbit_of(t, mu)
-            seen.update(orb.members)
-            orbits.append(orb)
-    return orbits
 
 
 # A step as its (remove_row, add_row) pair, which sorts as a plain tuple.
@@ -133,7 +91,7 @@ def enumerate_sstd(
         key = tuple(sorted(zip(fr, map(_STEP_KEY, t.steps))))
         groups.setdefault(key, []).append(t)
     return [
-        WeightedOrbit(mu, tuple(members), True)
+        WeightedOrbit(mu, tuple(members))
         for key, members in groups.items()
         if full == len(members) * math.prod(map(math.factorial, Counter(key).values()))
     ]

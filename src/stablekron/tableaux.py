@@ -3,7 +3,7 @@
 A path of length s from lam to nu is a sequence of integral steps, each
 removing a box (or nothing) and then adding a box (or nothing).  This
 module enumerates the full path sets, the quotient subsets of the
-families in the _STD0 table, the adjacent-step swap, and the
+families in the _STD0 table, and the
 classification of triples.  Which steps are legal from a shape is
 decided once, by the cached _moves, and how far nu is from a shape once,
 by the cached _distance.  The walker reads both through _options, one
@@ -84,20 +84,6 @@ class Step:
         return f"m({p},{q})"
 
 
-def parse_step(text: str) -> Step:
-    """Inverse of str(Step): "a2", "r1", "d0" or "m(p,q)".  Anything else
-    raises ValueError naming the text."""
-    text = text.strip()
-    try:
-        if text.startswith("m(") and text.endswith(")"):
-            p, q = (int(x) for x in text[2:-1].split(","))
-            return Step(p, q)
-        make = {"a": Step.add, "r": Step.remove, "d": Step.dummy}[text[:1]]
-        return make(int(text[1:]))
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"cannot parse step {text!r}") from exc
-
-
 def apply_step(lam: Partition, st: Step):
     """The shape one step leads to from lam, or None when the step is not
     legal there: a lookup in _moves, the one definition of a legal step."""
@@ -173,29 +159,12 @@ class KroneckerTableau:
             out.append(nxt)
         return out
 
-    def is_valid(self) -> bool:
-        try:
-            self.levels()
-        except ValueError:
-            return False
-        return True
-
     @property
     def sort_key(self) -> tuple:
         return tuple(st.sort_key for st in self.steps)
 
     def __str__(self) -> str:
         return "·".join(str(st) for st in self.steps)
-
-
-def parse_tableau(start: Partition, text: str) -> KroneckerTableau:
-    """Parse the "r1·d1·a1" format (empty string is the empty path)."""
-    text = text.strip()
-    try:
-        steps = tuple(parse_step(tok) for tok in text.split("·")) if text else ()
-    except ValueError as exc:
-        raise ValueError(f"cannot parse tableau {text!r}: {exc}") from exc
-    return KroneckerTableau(start, steps)
 
 
 class TripleClass(enum.Enum):
@@ -304,18 +273,3 @@ def enumerate_std0(lam: Partition, nu: Partition, s: int) -> list[KroneckerTable
     (lam, nu, s) and every weight mu of size s shares it; each call gets
     a fresh list of the shared (immutable) tableaux."""
     return list(_std0(lam, nu, s))
-
-
-def swap(t: KroneckerTableau, k: int):
-    """Exchange steps k and k+1 (1-indexed), or None when the exchanged
-    path is not valid."""
-    if not 1 <= k < t.length:
-        raise IndexError(f"swap position {k} out of range for length {t.length}")
-    before = t.levels()[k - 1]
-    mid = apply_step(before, t.steps[k])
-    if mid is None or apply_step(mid, t.steps[k - 1]) is None:
-        return None
-    steps = list(t.steps)
-    steps[k - 1], steps[k] = steps[k], steps[k - 1]
-    return KroneckerTableau(t.start, tuple(steps))
-

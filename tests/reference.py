@@ -1,0 +1,110 @@
+"""Reference code the tests compare the library against; not collected.
+
+The "r1·d1·a1" tableau parser, the adjacent-step swap and the
+breadth-first swap closure.  The library finds semistandard orbits by
+grouping Std0 on frame multisets (see stablekron.orbits for the proof);
+the closure here is the definition that grouping is checked against,
+and the only way to see orbits that are not semistandard.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+
+from stablekron.orbits import WeightedOrbit, frames
+from stablekron.partitions import Partition, parse_partition
+from stablekron.tableaux import KroneckerTableau, Step, apply_step, enumerate_std0
+
+
+def parse_step(text: str) -> Step:
+    """Inverse of str(Step): "a2", "r1", "d0" or "m(p,q)".  Anything else
+    raises ValueError naming the text."""
+    text = text.strip()
+    try:
+        if text.startswith("m(") and text.endswith(")"):
+            p, q = (int(x) for x in text[2:-1].split(","))
+            return Step(p, q)
+        make = {"a": Step.add, "r": Step.remove, "d": Step.dummy}[text[:1]]
+        return make(int(text[1:]))
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"cannot parse step {text!r}") from exc
+
+
+def parse_tableau(start: Partition, text: str) -> KroneckerTableau:
+    """Parse the "r1·d1·a1" format (empty string is the empty path)."""
+    text = text.strip()
+    try:
+        steps = tuple(parse_step(tok) for tok in text.split("·")) if text else ()
+    except ValueError as exc:
+        raise ValueError(f"cannot parse tableau {text!r}: {exc}") from exc
+    return KroneckerTableau(start, steps)
+
+
+def T(start: str, text: str) -> KroneckerTableau:
+    """A tableau from its start partition's text and its steps' text."""
+    return parse_tableau(parse_partition(start), text)
+
+
+def is_path(t: KroneckerTableau) -> bool:
+    """Whether every step of t is legal where it is taken."""
+    try:
+        t.levels()
+    except ValueError:
+        return False
+    return True
+
+
+def swap(t: KroneckerTableau, k: int):
+    """Exchange steps k and k+1 (1-indexed), or None when the exchanged
+    path is not valid."""
+    if not 1 <= k < t.length:
+        raise IndexError(f"swap position {k} out of range for length {t.length}")
+    before = t.levels()[k - 1]
+    mid = apply_step(before, t.steps[k])
+    if mid is None or apply_step(mid, t.steps[k - 1]) is None:
+        return None
+    steps = list(t.steps)
+    steps[k - 1], steps[k] = steps[k], steps[k - 1]
+    return KroneckerTableau(t.start, tuple(steps))
+
+
+def orbit_of(t: KroneckerTableau, mu: Partition) -> tuple[WeightedOrbit, bool]:
+    """Breadth-first closure of t under defined swaps inside a frame, and
+    whether every such swap is defined at every member (semistandard)."""
+    if t.length != mu.size:
+        raise ValueError(f"path length {t.length} != |mu| = {mu.size}")
+    fr = frames(mu)
+    interior = [k for k in range(1, t.length) if fr[k - 1] == fr[k]]
+    seen = {t}
+    queue = deque([t])
+    semistandard = True
+    while queue:
+        cur = queue.popleft()
+        for k in interior:
+            nxt = swap(cur, k)
+            if nxt is None:
+                semistandard = False
+            elif nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    members = tuple(sorted(seen, key=lambda m: m.sort_key))
+    return WeightedOrbit(mu, members), semistandard
+
+
+def enumerate_orbits(
+    lam: Partition, nu: Partition, s: int, mu: Partition
+) -> list[tuple[WeightedOrbit, bool]]:
+    """All orbits (semistandard or not) with their flags, ordered by
+    representative."""
+    if mu.size != s:
+        raise ValueError(f"|mu| = {mu.size} must equal s = {s}")
+    # Std0 comes in ascending sort_key, so each unseen path is the least
+    # member of its orbit and the orbits come out in representative order.
+    seen: set[KroneckerTableau] = set()
+    orbits = []
+    for t in enumerate_std0(lam, nu, s):
+        if t not in seen:
+            orb, semistandard = orbit_of(t, mu)
+            seen.update(orb.members)
+            orbits.append((orb, semistandard))
+    return orbits

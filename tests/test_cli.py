@@ -5,10 +5,10 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference import swap
 from stablekron.cli import main
 from stablekron.orbits import enumerate_sstd, frames
 from stablekron.partitions import parse_partition
-from stablekron.tableaux import swap
 
 
 def run(*argv):
@@ -153,6 +153,24 @@ def test_enumerate_json():
     assert first["reading"]["frames"] == [1, 2, 1, 3, 2]
     assert first["reading"]["lattice"] is True
     assert sum(o["reading"]["lattice"] for o in obj["orbits"]) == 1
+
+
+def test_enumerate_json_orbit_keys():
+    # every orbit listed is semistandard, and the output says so; a
+    # one-row orbit has no classical filling
+    shape = ["weight", "representative", "size", "semistandard", "classical", "reading"]
+    for triple, keys in [
+        (("2,1", "3,3,2", "2,2,1"), shape),
+        (("4", "4", "2,1"), [key for key in shape if key != "classical"]),
+    ]:
+        lam, nu, mu = triple
+        code, out, _ = run("enumerate", "sstd", "-l", lam, "-n", nu, "-m", mu, "--format", "json")
+        assert code == 0
+        orbits = json.loads(out)["orbits"]
+        assert orbits, triple
+        for orbit in orbits:
+            assert list(orbit) == keys, triple
+            assert orbit["semistandard"] is True
 
 
 def test_enumerate_dot():

@@ -1,25 +1,15 @@
 import pytest
 
+from reference import T, enumerate_orbits, orbit_of, swap
 from stablekron import tableaux
-from stablekron.orbits import (
-    NotMaximalDepth,
-    enumerate_orbits,
-    enumerate_sstd,
-    frames,
-    orbit_of,
-    to_classical,
-)
+from stablekron.orbits import NotMaximalDepth, enumerate_sstd, frames, to_classical
 from stablekron.characters import partitions_of
 from stablekron.partitions import Partition, contains, parse_partition
-from stablekron.tableaux import enumerate_std0, parse_tableau, swap
+from stablekron.tableaux import enumerate_std0
 
 
 def P(text):
     return parse_partition(text)
-
-
-def T(start, text):
-    return parse_tableau(P(start), text)
 
 
 def _boundaries(mu):
@@ -45,7 +35,7 @@ def test_frame_of():
 
 
 def test_orbit_of_pure_add():
-    orbit = orbit_of(T("2,1", "a1·a2·a2·a3·a3"), P("2,2,1"))
+    orbit, _ = orbit_of(T("2,1", "a1·a2·a2·a3·a3"), P("2,2,1"))
     assert orbit.size == 4
     assert str(orbit.representative) == "a1·a2·a2·a3·a3"
     texts = {str(m) for m in orbit.members}
@@ -63,7 +53,7 @@ def test_orbit_of_wrong_length():
 
 
 def test_orbit_of_one_row():
-    orbit = orbit_of(T("4", "r1·d1·a1"), P("2,1"))
+    orbit, _ = orbit_of(T("4", "r1·d1·a1"), P("2,1"))
     assert orbit.size == 2  # r1·d1 swaps to d1·r1; position 2 is a boundary
     assert {str(m) for m in orbit.members} == {"r1·d1·a1", "d1·r1·a1"}
 
@@ -71,9 +61,9 @@ def test_orbit_of_one_row():
 def test_semistandard_failure():
     # with a single frame every position is interior, and a2·a1·a2 does
     # not admit the swap at position 2
-    orbit = orbit_of(T("2,1", "a1·a2·a2"), P("3"))
+    orbit, semistandard = orbit_of(T("2,1", "a1·a2·a2"), P("3"))
     assert orbit.size == 2
-    assert not orbit.semistandard
+    assert not semistandard
     assert enumerate_sstd(P("2,1"), P("3,3"), 3, P("3")) == []
 
 
@@ -88,14 +78,14 @@ def test_semistandard_flag_matches_definition():
     seen = set()
     for lam, nu, s, mu in cases:
         fr = frames(mu)
-        for o in enumerate_orbits(lam, nu, s, mu):
+        for o, semistandard in enumerate_orbits(lam, nu, s, mu):
             want = all(
                 swap(m, k) is not None
                 for m in o.members
                 for k in range(1, s)
                 if fr[k - 1] == fr[k]
             )
-            assert o.semistandard == want
+            assert semistandard == want
             seen.add(want)
     assert seen == {True, False}
 
@@ -107,7 +97,7 @@ def test_orbits_partition_std0():
         (P("3"), P("2"), 3, P("1,1,1")),
     ]
     for lam, nu, s, mu in cases:
-        orbits = enumerate_orbits(lam, nu, s, mu)
+        orbits = [o for o, _ in enumerate_orbits(lam, nu, s, mu)]
         members = [m for o in orbits for m in o.members]
         assert len(members) == len(set(members))
         assert set(members) == set(enumerate_std0(lam, nu, s))
@@ -122,7 +112,7 @@ def test_orbit_representatives_ascend_and_are_least():
         (P("3"), P("3"), 4, P("2,2")),
     ]
     for lam, nu, s, mu in cases:
-        orbits = enumerate_orbits(lam, nu, s, mu)
+        orbits = [o for o, _ in enumerate_orbits(lam, nu, s, mu)]
         keys = [o.representative.sort_key for o in orbits]
         assert len(orbits) > 1 and keys == sorted(set(keys))
         for o in orbits:
@@ -133,9 +123,9 @@ def test_sstd_subset_of_orbits():
     lam, nu, s, mu = P("2,1"), P("3,3,2"), 5, P("2,2,1")
     sstd = enumerate_sstd(lam, nu, s, mu)
     assert len(sstd) == 4
-    every = enumerate_orbits(lam, nu, s, mu)
+    every = dict(enumerate_orbits(lam, nu, s, mu))  # orbit -> semistandard
     assert set(sstd) <= set(every)
-    assert all(o.semistandard for o in sstd)
+    assert all(every[o] for o in sstd)
 
 
 def _equivalence_triples():
@@ -159,20 +149,20 @@ def _equivalence_triples():
 
 def test_sstd_equals_semistandard_bfs_orbits():
     # the multiset grouping against the swap closure it replaces: the same
-    # orbits, members, order and flag
+    # orbits, members and order as the closures flagged semistandard
     count = 0
     for lam, nu, s, mu in _equivalence_triples():
-        want = [o for o in enumerate_orbits(lam, nu, s, mu) if o.semistandard]
+        want = [o for o, semistandard in enumerate_orbits(lam, nu, s, mu) if semistandard]
         got = enumerate_sstd(lam, nu, s, mu)
-        assert [(o.weight, o.members, o.semistandard) for o in got] == [
-            (o.weight, o.members, o.semistandard) for o in want
+        assert [(o.weight, o.members) for o in got] == [
+            (o.weight, o.members) for o in want
         ], (lam, nu, mu)
         count += len(got)
     assert count > 1000
 
 
 def _orbits(lam, nu, mu):
-    return [(o.members, o.semistandard) for o in enumerate_sstd(lam, nu, mu.size, mu)]
+    return [o.members for o in enumerate_sstd(lam, nu, mu.size, mu)]
 
 
 def test_sstd_walks_once_per_size(monkeypatch):
@@ -209,7 +199,7 @@ def test_sstd_weight_size_mismatch():
 
 
 def test_to_classical():
-    orbit = orbit_of(T("2,1", "a1·a2·a2·a3·a3"), P("2,2,1"))
+    orbit, _ = orbit_of(T("2,1", "a1·a2·a2·a3·a3"), P("2,2,1"))
     assert to_classical(orbit) == [
         [None, None, 1],
         [None, 1, 2],
@@ -218,6 +208,6 @@ def test_to_classical():
 
 
 def test_to_classical_rejects_one_row():
-    orbit = orbit_of(T("4", "r1·d1·a1"), P("2,1"))
+    orbit, _ = orbit_of(T("4", "r1·d1·a1"), P("2,1"))
     with pytest.raises(NotMaximalDepth):
         to_classical(orbit)

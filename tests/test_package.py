@@ -1,4 +1,6 @@
+import ast
 import os
+import pydoc
 import shlex
 import signal
 import subprocess
@@ -115,3 +117,60 @@ def test_closed_pipe_ends_silently():
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == -signal.SIGPIPE
     assert err == ""
+
+
+# bench/ reads the on-disk character cache; ROADMAP direction 1 deletes
+# these with it.
+UNREACHED_FOR_BENCH = {
+    "characters.save_character_cache",
+    "characters.load_character_cache",
+    "characters._shape",
+}
+
+
+def _module_level(node):
+    """The nodes of code that runs at import: everything outside def
+    bodies, so a def's decorators and argument defaults but not its body."""
+    if isinstance(node, ast.FunctionDef):
+        for part in (*node.decorator_list, node.args):
+            yield from ast.walk(part)
+        return
+    yield node
+    for child in ast.iter_child_nodes(node):
+        yield from _module_level(child)
+
+
+def _names(nodes):
+    for node in nodes:
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_every_library_def_is_reached():
+    # Roots: the package exports, cli.entry, the names module-level code
+    # uses, dunder methods and methods that override a stdlib base's.  A
+    # reached def reaches every name its body uses; a def that nothing
+    # reaches belongs in tests/reference.py, not in the library.
+    package = ROOT / "src" / "stablekron"
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")}
+    defs, reached = {}, {"entry"}
+    reached |= {alias.name for n in trees["__init__"].body if isinstance(n, ast.ImportFrom) for alias in n.names}
+    for module, tree in trees.items():
+        reached |= set(_names(_module_level(tree)))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defs[f"{module}.{node.name}"] = node
+            elif isinstance(node, ast.ClassDef):
+                bases = [pydoc.locate(ast.unparse(base)) for base in node.bases]
+                for method in node.body:
+                    if isinstance(method, ast.FunctionDef):
+                        defs[f"{module}.{node.name}.{method.name}"] = method
+                        if method.name.startswith("__") or any(hasattr(b, method.name) for b in bases):
+                            reached.add(method.name)
+    pending = set(defs)
+    while grown := {q for q in pending if q.rsplit(".", 1)[1] in reached}:
+        pending -= grown
+        reached |= {name for q in grown for name in _names(ast.walk(defs[q]))}
+    assert pending == UNREACHED_FOR_BENCH

@@ -1,6 +1,7 @@
 import pytest
 
-from stablekron.orbits import enumerate_sstd, orbit_of
+from reference import T, orbit_of, parse_step
+from stablekron.orbits import enumerate_sstd
 from stablekron.partitions import parse_partition
 from stablekron.reading import (
     ReadingWord,
@@ -11,21 +12,11 @@ from stablekron.reading import (
     stable_kronecker_copieri,
 )
 from stablekron.characters import partitions_up_to, stable_kronecker_oracle
-from stablekron.tableaux import (
-    TripleClass,
-    UnsupportedFamily,
-    classify,
-    parse_step,
-    parse_tableau,
-)
+from stablekron.tableaux import TripleClass, UnsupportedFamily, classify
 
 
 def P(text):
     return parse_partition(text)
-
-
-def T(start, text):
-    return parse_tableau(P(start), text)
 
 
 def test_step_order():
@@ -35,7 +26,7 @@ def test_step_order():
 
 
 def test_reading_word_example():
-    orbit = orbit_of(T("2,1", "a1·a2·a2·a3·a3"), P("2,2,1"))
+    orbit, _ = orbit_of(T("2,1", "a1·a2·a2·a3·a3"), P("2,2,1"))
     word = reading_word(orbit)
     assert [str(st) for st in word.steps] == ["a1", "a2", "a2", "a3", "a3"]
     assert word.frames == (1, 2, 1, 3, 2)
@@ -48,7 +39,7 @@ def test_reading_word_is_member_independent():
         (T("4", "r1·d1·a1"), P("2,1")),
         (T("4", "d1·a1·r1"), P("2,1")),
     ]:
-        orbit = orbit_of(seed, mu)
+        orbit, _ = orbit_of(seed, mu)
         words = {reading_word_of(m, mu) for m in orbit.members}
         assert len(words) == 1
         assert words.pop() == reading_word(orbit)

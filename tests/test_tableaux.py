@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from reference import T, is_path, parse_step, parse_tableau, swap
 from stablekron import tableaux
 from stablekron.characters import partitions_up_to
 from stablekron.partitions import Partition, contains, parse_partition
@@ -15,18 +16,11 @@ from stablekron.tableaux import (
     classify,
     enumerate_std,
     enumerate_std0,
-    parse_step,
-    parse_tableau,
-    swap,
 )
 
 
 def P(text):
     return parse_partition(text)
-
-
-def T(start, text):
-    return parse_tableau(P(start), text)
 
 
 # ---------------------------------------------------------------- steps
@@ -129,7 +123,7 @@ def test_tableau_levels_and_end():
     t = T("4", "r1·d1·a1")
     assert t.levels() == [P("4"), P("3"), P("3"), P("4")]
     assert t.levels()[-1] == P("4")
-    assert t.is_valid()
+    assert is_path(t)
 
 
 def test_tableau_str_parse_roundtrip():
@@ -141,7 +135,7 @@ def test_tableau_str_parse_roundtrip():
 
 def test_invalid_tableau():
     t = T("1", "r1·r1")
-    assert not t.is_valid()
+    assert not is_path(t)
     with pytest.raises(ValueError):
         t.levels()
 
@@ -448,7 +442,7 @@ def test_swap_is_an_involution():
         for k in range(1, t.length):
             other = swap(t, k)
             if other is not None:
-                assert other.is_valid()
+                assert is_path(other)
                 assert swap(other, k) == t
 
 
