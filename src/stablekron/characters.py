@@ -156,7 +156,7 @@ def stable_kronecker_oracle(lam: Partition, nu: Partition, mu: Partition) -> int
     the same for every n >= d (Diaconis-Shahshahani 1994).
     """
     total = sum(p.size + p.row(1) for p in (lam, nu, mu))
-    n = max(total // 2, min_padding(lam, nu, mu), 1)
+    n = max(total // 2, min_padding(lam, nu, mu))
     return padded_kronecker(lam, nu, mu, n)
 
 

@@ -26,10 +26,8 @@ The tests check this grouping against the swap closure in tests/reference.py.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import cache
-from operator import attrgetter
 
 from .partitions import Partition
 from .tableaux import KroneckerTableau, enumerate_std0
@@ -47,13 +45,11 @@ def frames(mu: Partition) -> tuple[int, ...]:
     return tuple(c for c, part in enumerate(mu, start=1) for _ in range(part))
 
 
-@dataclass(frozen=True)
-class WeightedOrbit:
+class WeightedOrbit(namedtuple("WeightedOrbit", "weight members")):
     """One ~mu equivalence class; members are sorted, the first is the
     canonical representative."""
 
-    weight: Partition
-    members: tuple[KroneckerTableau, ...]
+    __slots__ = ()
 
     @property
     def representative(self) -> KroneckerTableau:
@@ -62,10 +58,6 @@ class WeightedOrbit:
     @property
     def size(self) -> int:
         return len(self.members)
-
-
-# A step as its (remove_row, add_row) pair, which sorts as a plain tuple.
-_STEP_KEY = attrgetter("remove_row", "add_row")
 
 
 def enumerate_sstd(
@@ -88,7 +80,7 @@ def enumerate_sstd(
     full = math.prod(map(math.factorial, mu))
     groups: dict[tuple, list[KroneckerTableau]] = {}
     for t in paths:
-        key = tuple(sorted(zip(fr, map(_STEP_KEY, t.steps))))
+        key = tuple(sorted(zip(fr, t.steps)))
         groups.setdefault(key, []).append(t)
     return [
         WeightedOrbit(mu, tuple(members))

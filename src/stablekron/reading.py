@@ -9,18 +9,17 @@ the stable Kronecker coefficient on the supported families.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from operator import neg
 
 from .characters import stable_kronecker_oracle
 from .orbits import WeightedOrbit, enumerate_sstd, frames
 from .partitions import Partition
-from .tableaux import KroneckerTableau, Step, UnsupportedFamily
+from .tableaux import KroneckerTableau, UnsupportedFamily
 
 
-@dataclass(frozen=True)
-class ReadingWord:
-    steps: tuple[Step, ...]
-    frames: tuple[int, ...]
+class ReadingWord(namedtuple("ReadingWord", "steps frames")):
+    __slots__ = ()
 
     def __str__(self) -> str:
         top = " ".join(str(st) for st in self.steps)
@@ -34,12 +33,8 @@ def reading_word(o: WeightedOrbit) -> ReadingWord:
 
 
 def reading_word_of(t: KroneckerTableau, mu: Partition) -> ReadingWord:
-    pairs = sorted(
-        zip(t.steps, frames(mu), strict=True), key=lambda sf: (sf[0].sort_key, -sf[1])
-    )
-    return ReadingWord(
-        tuple(st for st, _ in pairs), tuple(f for _, f in pairs)
-    )
+    pairs = sorted(zip(t.steps, map(neg, frames(mu)), strict=True))
+    return ReadingWord(tuple(st for st, _ in pairs), tuple(-f for _, f in pairs))
 
 
 def is_lattice(w: ReadingWord) -> bool:

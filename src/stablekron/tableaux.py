@@ -18,8 +18,9 @@ Std, which grows exponentially, is walked anew on every call.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from functools import cache, total_ordering
+from collections import namedtuple
+from functools import cache
+from operator import itemgetter
 
 from .partitions import (
     Partition,
@@ -34,18 +35,28 @@ class UnsupportedFamily(ValueError):
     """The triple's family has no row in _STD0, so no quotient basis."""
 
 
-@total_ordering
-@dataclass(frozen=True, slots=True)
-class Step:
+class Step(tuple):
     """One integral step: remove a box in row ``remove_row``, add one in
-    row ``add_row``.  Row 0 means no change at that half-level."""
+    row ``add_row``.  Row 0 means no change at that half-level.  Held as
+    (sort_key, remove_row, add_row), so tuple order is the step order:
+    move-up < dummy < move-down, refined within each kind; no two steps
+    share a sort_key, so it alone decides every comparison."""
 
-    remove_row: int
-    add_row: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.remove_row < 0 or self.add_row < 0:
+    def __new__(cls, remove_row: int, add_row: int):
+        p, q = remove_row, add_row
+        if p < 0 or q < 0:
             raise ValueError("row indices must be >= 0")
+        key = (0, q, -p) if p > q else (1, -p) if p == q else (2, -p, q)
+        return super().__new__(cls, (key, p, q))
+
+    def __getnewargs__(self):
+        return self[1:]
+
+    sort_key = property(itemgetter(0))
+    remove_row = property(itemgetter(1))
+    add_row = property(itemgetter(2))
 
     @classmethod
     def add(cls, i: int) -> "Step":
@@ -59,22 +70,11 @@ class Step:
     def dummy(cls, i: int) -> "Step":
         return cls(i, i)
 
-    @property
-    def sort_key(self) -> tuple:
-        """Key realizing the total order: move-up < dummy < move-down,
-        refined within each kind."""
-        p, q = self.remove_row, self.add_row
-        if p > q:
-            return (0, q, -p)
-        if p == q:
-            return (1, -p)
-        return (2, -p, q)
-
-    def __lt__(self, other: "Step") -> bool:
-        return self.sort_key < other.sort_key
+    def __repr__(self) -> str:
+        return f"Step({self.remove_row}, {self.add_row})"
 
     def __str__(self) -> str:
-        p, q = self.remove_row, self.add_row
+        _, p, q = self
         if p == q:
             return f"d{p}"
         if q == 0:
@@ -134,16 +134,14 @@ def _options(cur: Partition, nu: Partition, steps) -> tuple[tuple, tuple]:
     return every, tuple(option for option in every if not option[2])
 
 
-@dataclass(frozen=True, slots=True)
-class KroneckerTableau:
+class KroneckerTableau(namedtuple("KroneckerTableau", "start steps")):
     """A path in the branching graph: a start partition plus its steps.
 
-    Levels are recomputed on demand; two paths are equal iff their
-    (start, steps) data agree.
+    Held as the named tuple (start, steps).  Levels are recomputed on
+    demand; two paths are equal iff their (start, steps) data agree.
     """
 
-    start: Partition
-    steps: tuple[Step, ...]
+    __slots__ = ()
 
     @property
     def length(self) -> int:

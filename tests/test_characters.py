@@ -137,7 +137,7 @@ def test_stable_oracle_survives_early_plateau():
 @pytest.mark.parametrize(
     "lam, nu, mu, n_two",
     [
-        ("", "", "", 1),
+        ("", "", "", 0),  # padded_kronecker(∅, ∅, ∅, 0) is already 1
         ("1", "1", "", 2),
         ("5", "", "", 10),  # min_padding exceeds the total size
         ("4", "4", "3", 11),
@@ -168,7 +168,7 @@ def test_padded_kronecker_is_constant_from_n_two_to_n_star():
     for lam, nu, mu in triples:
         floor = min_padding(lam, nu, mu)
         n_star = max(lam.size + nu.size + mu.size, floor, 1)
-        n_two = max(sum(p.size + p.row(1) for p in (lam, nu, mu)) // 2, floor, 1)
+        n_two = max(sum(p.size + p.row(1) for p in (lam, nu, mu)) // 2, floor)
         assert n_two <= n_star
         limit = padded_kronecker(lam, nu, mu, n_two)
         for n in range(n_two + 1, n_star + 1):

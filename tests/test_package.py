@@ -98,6 +98,23 @@ def test_module_entry_point_exit_codes():
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    # Start-up cost: each of these takes milliseconds to import.  The
+    # standard-library modules the package uses are loaded first, so only
+    # what stablekron itself pulls in counts, on every Python version.
+    code = (
+        "import sys, argparse, collections, enum, functools, json, math, operator, signal\n"
+        "before = set(sys.modules)\n"
+        "import stablekron.cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & (set(sys.modules) - before)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE here")
 def test_closed_pipe_ends_silently():
     # 111,600 bytes of output, more than a pipe buffer: the reader takes

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import re
 
 import pytest
@@ -34,7 +35,7 @@ def test_step_str_parse_roundtrip():
 
 
 def test_step_parse_rejects_garbage():
-    for text in ("x3", "", " ", "a", "m(1)"):
+    for text in ("x3", "", " ", "a", "m(1)", "r-1", "m(2,-1)"):
         with pytest.raises(ValueError, match=re.escape(repr(text.strip()))):
             parse_step(text)
     with pytest.raises(ValueError, match="r1··a1"):
@@ -58,6 +59,13 @@ def test_step_order_is_total():
     assert len(set(keys)) == len(keys)
     for a, b in itertools.combinations(steps, 2):
         assert (a < b) != (b < a)
+    # a Step is the tuple (sort_key, remove_row, add_row): native tuple
+    # order is the sort_key order
+    assert sorted(steps) == sorted(steps, key=lambda st: st.sort_key)
+    for st, (p, q) in zip(steps, itertools.product(range(9), repeat=2)):
+        assert (st.remove_row, st.add_row) == (p, q)
+        assert pickle.loads(pickle.dumps(st)) == st
+    assert repr(Step(2, 5)) == "Step(2, 5)"
 
 
 def test_apply_step():
