@@ -3,38 +3,23 @@
 Steps carry a total order (move-up < dummy < move-down, refined within
 each kind); the reading word of an orbit sorts the (step, frame) pairs of
 any member by that order, tie-breaking equal steps by weakly decreasing
-frame.  Counting the semistandard orbits with lattice reading word gives
-the stable Kronecker coefficient on the supported families.
+frame.  enumerate_sstd finds each orbit by that word, so an orbit
+carries it and ReadingWord lives in orbits.  Counting the semistandard
+orbits with lattice reading word gives the stable Kronecker coefficient
+on the supported families.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
-from operator import neg
-
 from .characters import stable_kronecker_oracle
-from .orbits import WeightedOrbit, enumerate_sstd, frames
+from .orbits import ReadingWord, WeightedOrbit, enumerate_sstd
 from .partitions import Partition
-from .tableaux import KroneckerTableau, UnsupportedFamily
-
-
-class ReadingWord(namedtuple("ReadingWord", "steps frames")):
-    __slots__ = ()
-
-    def __str__(self) -> str:
-        top = " ".join(str(st) for st in self.steps)
-        bottom = " ".join(str(f) for f in self.frames)
-        return f"[{top} | {bottom}]"
+from .tableaux import UnsupportedFamily
 
 
 def reading_word(o: WeightedOrbit) -> ReadingWord:
     """The sorted 2 x s array of steps and frames; member-independent."""
-    return reading_word_of(o.representative, o.weight)
-
-
-def reading_word_of(t: KroneckerTableau, mu: Partition) -> ReadingWord:
-    pairs = sorted(zip(t.steps, map(neg, frames(mu)), strict=True))
-    return ReadingWord(tuple(st for st, _ in pairs), tuple(-f for _, f in pairs))
+    return o.word
 
 
 def is_lattice(w: ReadingWord) -> bool:

@@ -9,10 +9,8 @@ decided once, by the cached _moves, and how far nu is from a shape once,
 by the cached _distance.  The walker reads both through _options, one
 cached table per (shape, nu, step set) of the moves it may take and
 their distances to nu, so its inner loop is one reach comparison.
-Std0 depends on the weight mu only through its size s, so it is walked
-once per (lam, nu, s), held by the cached _std0, and shared by every
-weight of that size; enumerate_std0 hands each caller a fresh list.
-Std, which grows exponentially, is walked anew on every call.
+Std and Std0 are walked anew on every call; orbits._coded holds Std0
+once per (lam, nu, s) for every weight of size s.
 """
 
 from __future__ import annotations
@@ -249,11 +247,10 @@ def enumerate_std(lam: Partition, nu: Partition, s: int) -> list[KroneckerTablea
     return _walk(lam, nu, s, s)
 
 
-@cache
-def _std0(lam: Partition, nu: Partition, s: int) -> tuple[KroneckerTableau, ...]:
-    """enumerate_std0's walk, held once per triple.  UnsupportedFamily and
-    RecursionError propagate and are not cached, so each call raises
-    afresh."""
+def enumerate_std0(lam: Partition, nu: Partition, s: int) -> list[KroneckerTableau]:
+    """The quotient-basis subset of enumerate_std, in the same order: the
+    walk under the _STD0 row of the triple's class, or UnsupportedFamily.
+    Std0 depends on the weight mu only through its size s."""
     row = _STD0.get(classify(lam, nu, s))
     if row is None:
         names = " and ".join(tag.value for tag in _STD0)
@@ -261,13 +258,4 @@ def _std0(lam: Partition, nu: Partition, s: int) -> tuple[KroneckerTableau, ...]
             f"no quotient basis for lambda={lam}, nu={nu}, s={s}: only {names} triples have one"
         )
     budget, steps = row
-    return tuple(_walk(lam, nu, s, budget(lam, s), steps))
-
-
-def enumerate_std0(lam: Partition, nu: Partition, s: int) -> list[KroneckerTableau]:
-    """The quotient-basis subset of enumerate_std, in the same order: the
-    walk under the _STD0 row of the triple's class, or UnsupportedFamily.
-    Std0 depends on the weight's size s alone, so it is walked once per
-    (lam, nu, s) and every weight mu of size s shares it; each call gets
-    a fresh list of the shared (immutable) tableaux."""
-    return list(_std0(lam, nu, s))
+    return _walk(lam, nu, s, budget(lam, s), steps)

@@ -1,17 +1,20 @@
 """Reference code the tests compare the library against; not collected.
 
-The "r1·d1·a1" tableau parser, the adjacent-step swap and the
-breadth-first swap closure.  The library finds semistandard orbits by
-grouping Std0 on frame multisets (see stablekron.orbits for the proof);
-the closure here is the definition that grouping is checked against,
-and the only way to see orbits that are not semistandard.
+The "r1·d1·a1" tableau parser, the adjacent-step swap, the
+breadth-first swap closure and the reading word of one member.  The
+library finds semistandard orbits by grouping Std0 on coded reading
+words (see stablekron.orbits for the proof); the closure and
+reading_word_of here are the definitions that grouping and its words
+are checked against, and the closure is the only way to see orbits that
+are not semistandard.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from operator import neg
 
-from stablekron.orbits import WeightedOrbit, frames
+from stablekron.orbits import ReadingWord, WeightedOrbit, frames
 from stablekron.partitions import Partition, parse_partition
 from stablekron.tableaux import KroneckerTableau, Step, apply_step, enumerate_std0
 
@@ -68,6 +71,13 @@ def swap(t: KroneckerTableau, k: int):
     return KroneckerTableau(t.start, tuple(steps))
 
 
+def reading_word_of(t: KroneckerTableau, mu: Partition) -> ReadingWord:
+    """t's (step, frame) pairs sorted by step, equal steps by weakly
+    decreasing frame; ValueError when |mu| is not t's length."""
+    pairs = sorted(zip(t.steps, map(neg, frames(mu)), strict=True))
+    return ReadingWord(tuple(st for st, _ in pairs), tuple(-f for _, f in pairs))
+
+
 def orbit_of(t: KroneckerTableau, mu: Partition) -> tuple[WeightedOrbit, bool]:
     """Breadth-first closure of t under defined swaps inside a frame, and
     whether every such swap is defined at every member (semistandard)."""
@@ -88,7 +98,7 @@ def orbit_of(t: KroneckerTableau, mu: Partition) -> tuple[WeightedOrbit, bool]:
                 seen.add(nxt)
                 queue.append(nxt)
     members = tuple(sorted(seen, key=lambda m: m.sort_key))
-    return WeightedOrbit(mu, members), semistandard
+    return WeightedOrbit(mu, members, reading_word_of(t, mu)), semistandard
 
 
 def enumerate_orbits(

@@ -9,7 +9,7 @@ import functools
 import itertools
 import math
 
-from reference import enumerate_orbits, is_path, orbit_of, parse_tableau, swap
+from reference import enumerate_orbits, is_path, orbit_of, parse_tableau, reading_word_of, swap
 from stablekron.characters import (
     centralizer_order,
     character,
@@ -25,7 +25,7 @@ from stablekron.characters import (
 from stablekron.cli import sweep_dims, sweep_maximal_depth, sweep_one_row
 from stablekron.orbits import enumerate_sstd
 from stablekron.partitions import Partition, pad, parse_partition
-from stablekron.reading import is_lattice, reading_word, reading_word_of
+from stablekron.reading import is_lattice, reading_word
 from stablekron.tableaux import Step, enumerate_std, enumerate_std0
 
 

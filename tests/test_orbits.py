@@ -1,11 +1,11 @@
 import pytest
 
-from reference import T, enumerate_orbits, orbit_of, swap
-from stablekron import tableaux
+from reference import T, enumerate_orbits, orbit_of, reading_word_of, swap
+from stablekron import orbits, tableaux
 from stablekron.orbits import NotMaximalDepth, enumerate_sstd, frames, to_classical
 from stablekron.characters import partitions_of
 from stablekron.partitions import Partition, contains, parse_partition
-from stablekron.tableaux import enumerate_std0
+from stablekron.tableaux import UnsupportedFamily, enumerate_std0
 
 
 def P(text):
@@ -128,14 +128,15 @@ def test_sstd_subset_of_orbits():
     assert all(every[o] for o in sstd)
 
 
+def _upto(n):
+    return [Partition(p) for m in range(n + 1) for p in partitions_of(m)]
+
+
 def _equivalence_triples():
     """Every maximal-depth triple with |nu| <= 6 and every one-row triple
     with rows <= 4 and |mu| <= 4, as (lam, nu, s, mu)."""
-    def upto(n):
-        return [Partition(p) for m in range(n + 1) for p in partitions_of(m)]
-
-    for nu in upto(6):
-        for lam in upto(nu.size):
+    for nu in _upto(6):
+        for lam in _upto(nu.size):
             if contains(lam, nu):
                 s = nu.size - lam.size
                 for mu in map(Partition, partitions_of(s)):
@@ -143,20 +144,18 @@ def _equivalence_triples():
     rows = [Partition((a,)) for a in range(5)]
     for lam in rows:
         for nu in rows:
-            for mu in upto(4):
+            for mu in _upto(4):
                 yield lam, nu, mu.size, mu
 
 
 def test_sstd_equals_semistandard_bfs_orbits():
     # the multiset grouping against the swap closure it replaces: the same
-    # orbits, members and order as the closures flagged semistandard
+    # orbits, members, words and order as the closures flagged semistandard
     count = 0
     for lam, nu, s, mu in _equivalence_triples():
         want = [o for o, semistandard in enumerate_orbits(lam, nu, s, mu) if semistandard]
         got = enumerate_sstd(lam, nu, s, mu)
-        assert [(o.weight, o.members) for o in got] == [
-            (o.weight, o.members) for o in want
-        ], (lam, nu, mu)
+        assert got == want, (lam, nu, mu)
         count += len(got)
     assert count > 1000
 
@@ -172,7 +171,7 @@ def test_sstd_walks_once_per_size(monkeypatch):
     weights = [Partition(mu) for mu in partitions_of(5)]
     cold = {}
     for mu in weights:
-        tableaux._std0.cache_clear()
+        orbits._coded.cache_clear()
         cold[mu] = _orbits(lam, nu, mu)
     walks = 0
     real = tableaux._walk
@@ -182,11 +181,76 @@ def test_sstd_walks_once_per_size(monkeypatch):
         walks += 1
         return real(*args)
 
-    tableaux._std0.cache_clear()
+    orbits._coded.cache_clear()
     monkeypatch.setattr(tableaux, "_walk", walk)
     assert {mu: _orbits(lam, nu, mu) for mu in weights} == cold
     assert walks == 1
     assert sum(map(len, cold.values())) > len(weights)
+
+
+def test_coded_walks_once_per_triple(monkeypatch):
+    # _coded asks for Std0 once per (lam, nu, s), whatever the weights of
+    # size s, and its codes are the ranks of each path's steps times s + 1
+    asked = []
+    real = orbits.enumerate_std0
+
+    def enumerate_paths(*triple):
+        asked.append(triple)
+        return real(*triple)
+
+    orbits._coded.cache_clear()
+    monkeypatch.setattr(orbits, "enumerate_std0", enumerate_paths)
+    triples = [(P("2,1"), P("3,3,2"), 5), (P(""), P("3,2,1"), 6), (P("4"), P("4"), 3), (P("3"), P("2"), 5)]
+    for lam, nu, s in triples * 2:
+        for mu in map(Partition, partitions_of(s)):
+            enumerate_sstd(lam, nu, s, mu)
+    assert asked == triples
+    for lam, nu, s in triples:
+        paths, steps, codes = orbits._coded(lam, nu, s)
+        assert list(steps) == sorted(set(steps)) and len(codes) == s * len(paths) > 0
+        assert all(c % (s + 1) == 0 for c in codes)
+        assert [steps[c // (s + 1)] for c in codes] == [st for t in paths for st in t.steps]
+    assert asked == triples  # the reads just made were warm
+
+
+def test_unsupported_is_raised_afresh(monkeypatch):
+    # a triple off the _STD0 table is asked about, and refused, every time
+    walks = 0
+    real = orbits.enumerate_std0
+
+    def enumerate_paths(*triple):
+        nonlocal walks
+        walks += 1
+        return real(*triple)
+
+    monkeypatch.setattr(orbits, "enumerate_std0", enumerate_paths)
+    held = orbits._coded.cache_info().currsize
+    for expected in (1, 2, 3):
+        with pytest.raises(UnsupportedFamily):
+            enumerate_sstd(P("2,1"), P("2,1"), 1, P("1"))
+        assert walks == expected
+    assert orbits._coded.cache_info().currsize == held
+
+
+def test_word_is_the_reading_word_of_every_member():
+    # the word each orbit carries, decoded from its integer key, against
+    # the definition in tests/reference.py at every member
+    triples = [
+        (lam, nu, nu.size - lam.size)
+        for nu in _upto(6)
+        for lam in _upto(nu.size)
+        if contains(lam, nu)
+    ]
+    rows = [Partition((a,)) for a in range(6)]
+    triples += [(lam, nu, s) for lam in rows for nu in rows for s in range(6)]
+    members = 0
+    for lam, nu, s in triples:
+        for mu in map(Partition, partitions_of(s)):
+            for o in enumerate_sstd(lam, nu, s, mu):
+                for m in o.members:
+                    assert o.word == reading_word_of(m, mu), (lam, nu, mu, m)
+                members += o.size
+    assert members == 6047
 
 
 def test_sstd_empty_case():

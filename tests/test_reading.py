@@ -1,13 +1,12 @@
 import pytest
 
-from reference import T, orbit_of, parse_step
+from reference import T, orbit_of, parse_step, reading_word_of
 from stablekron.orbits import enumerate_sstd
 from stablekron.partitions import parse_partition
 from stablekron.reading import (
     ReadingWord,
     is_lattice,
     reading_word,
-    reading_word_of,
     stable_kronecker,
     stable_kronecker_copieri,
 )

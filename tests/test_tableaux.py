@@ -5,7 +5,7 @@ import re
 import pytest
 
 from reference import T, is_path, parse_step, parse_tableau, swap
-from stablekron import tableaux
+from stablekron import orbits, tableaux
 from stablekron.characters import partitions_up_to
 from stablekron.partitions import Partition, contains, parse_partition
 from stablekron.tableaux import (
@@ -221,11 +221,11 @@ def cold_moves(monkeypatch):
     patched entry behind."""
     tableaux._moves.cache_clear()
     tableaux._options.cache_clear()
-    tableaux._std0.cache_clear()
+    orbits._coded.cache_clear()
     yield monkeypatch
     tableaux._moves.cache_clear()
     tableaux._options.cache_clear()
-    tableaux._std0.cache_clear()
+    orbits._coded.cache_clear()
 
 
 def test_std0_maximal_depth_not_contained(cold_moves):
@@ -364,7 +364,6 @@ def test_walk_has_no_dead_ends(monkeypatch):
     ]
     assert len(walks) == 956
     for enumerate_paths, lam, nu, s in walks:
-        tableaux._std0.cache_clear()  # a warm Std0 would answer without a walk
         calls = 0
         paths = enumerate_paths(lam, nu, s)
         prefixes = {t.steps[:k] for t in paths for k in range(s)}
@@ -414,9 +413,11 @@ def test_std0_returns_a_fresh_list():
 
 
 def test_warm_std0_is_the_cold_walk():
-    # the held Std0, asked twice, is the walk under the triple's _STD0 row
+    # enumerate_std0, asked twice, and the Std0 that orbits._coded holds,
+    # cold and warm, are the walk under the triple's _STD0 row
     shapes = partitions_up_to(4)
     walked = 0
+    orbits._coded.cache_clear()
     for lam, nu, s in itertools.product(shapes, shapes, range(5)):
         row = tableaux._STD0.get(classify(lam, nu, s))
         if row is None:
@@ -424,8 +425,28 @@ def test_warm_std0_is_the_cold_walk():
         budget, steps = row
         cold = tableaux._walk(lam, nu, s, budget(lam, s), steps)
         assert enumerate_std0(lam, nu, s) == enumerate_std0(lam, nu, s) == cold, (lam, nu, s)
+        assert orbits._coded(lam, nu, s)[0] == orbits._coded(lam, nu, s)[0] == tuple(cold)
         walked += 1
     assert walked > 100
+
+
+def test_std0_walks_on_every_call(monkeypatch):
+    # tableaux holds no Std0: each call is a fresh walk
+    walks = 0
+    real = tableaux._walk
+
+    def walk(*args):
+        nonlocal walks
+        walks += 1
+        return real(*args)
+
+    monkeypatch.setattr(tableaux, "_walk", walk)
+    for expected in (1, 2, 3):
+        assert len(enumerate_std0(P("2,1"), P("3,3,2"), 5)) == 16
+        assert walks == expected
+    # and none of its caches is keyed on a triple
+    cached = [value.__wrapped__ for value in vars(tableaux).values() if hasattr(value, "cache_info")]
+    assert cached and all(f.__code__.co_varnames[:3] != ("lam", "nu", "s") for f in cached)
 
 
 # ---------------------------------------------------------------- swaps
