@@ -1,43 +1,52 @@
 """Frames, weight orbits and semistandard Kronecker tableaux.
 
 A weight composition mu cuts the step positions 1..s into frames:
-frames(mu) gives the frame number of each position, and nothing else
-reads mu's layout.  The orbit of a path is its closure under swaps of
-adjacent steps in the same frame.  An orbit is semistandard when every
-such swap is defined at every member, and for maximal-depth shapes this
-is exactly column-strictness of the classical filling.
+frames(mu) gives the frame number of each position, and _layout(mu)
+the same cut as bit masks and slices.  The orbit of a path is its
+closure under swaps of adjacent steps in the same frame.  An orbit is
+semistandard when every such swap is defined at every member, and for
+maximal-depth shapes this is exactly column-strictness of the classical
+filling.
 
-Semistandard orbits are found without any swap: key each Std0 path on
-the multiset of its (frame, step) pairs, the multiset of steps in every
-frame.  A group is a semistandard orbit exactly when it holds every
-arrangement of those multisets, that is when its size times prod_i m_i!
-(m_i the runs of equal pairs in the key) is prod_c mu_c!.  Three facts
-prove it: adjacent swaps inside a frame generate that frame's symmetric
-group; the level a frame ends on depends only on its multiset; and Std0
-membership does not depend on the order inside a frame (each row of
-tableaux._STD0 says why).  So a swap never leaves a group, an orbit whose
-swaps are all defined is a whole group, and a whole group has all its
-swaps defined.
+Semistandard orbits are found without any swap, from their least
+members.  Three facts: adjacent swaps inside a frame generate that
+frame's symmetric group; every order of a frame's steps that is a path
+ends on the same shape, as each step moves the same boxes whatever comes
+before it; and Std0 membership does not depend on the order inside a
+frame (each row of tableaux._STD0 says why).  So an orbit is
+semistandard exactly when it holds every arrangement of its frames'
+step multisets, that is when every order of each frame is legal from the
+shape the frame starts on, and the least member of such an orbit is the
+one whose steps ascend inside every frame.  enumerate_sstd therefore
+keeps a Std0 path exactly when its descent mask misses mu's interior
+positions and _after passes for each of its frames: each orbit once, at
+its least member, in Std0's ascending order.
 
-Each key is coded in small integers: a step of rank r among the distinct
-steps of Std0 at frame f is r * (s + 1) + s + 1 - f, so the sorted key
-sorts the pairs by step, then by decreasing frame: it is the reading
-word, and each kept group carries it.  As mu enters only through frames,
-every weight of size s shares one Std0 walk and its codes, which _coded
-holds once per (lam, nu, s), the only cache of Std0.  The tests check the
-grouping against the swap closure in tests/reference.py, and each word
-against the definition there.
+An orbit is held as (start, weight, word).  The reading word sorts the
+(step, frame) pairs by step, equal steps by decreasing frame, so a
+frame's steps in word order are that frame of the least member: the
+representative, the members (each frame's distinct orders, ascending)
+and the size (prod_c mu_c! / prod_i m_i!, m_i the runs of equal pairs)
+are all read from the word, and only when asked for.  The word is coded
+in small integers: a step of rank r among the distinct steps of Std0 at
+frame f is r * (s + 1) + s + 1 - f, so sorting the codes sorts the
+pairs.  As mu enters only through frames, every weight of size s shares
+one Std0 walk, its codes and descent masks, which _coded holds once per
+(lam, nu, s), the only cache of Std0.  The tests check the orbits
+against the swap closure in tests/reference.py, and each word against
+the definition there.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, namedtuple
+from collections import namedtuple
 from functools import cache
+from itertools import accumulate, chain, groupby, pairwise, product
 from operator import add
 
 from .partitions import Partition
-from .tableaux import KroneckerTableau, enumerate_std0
+from .tableaux import KroneckerTableau, apply_step, enumerate_std0
 
 
 class NotMaximalDepth(ValueError):
@@ -52,6 +61,18 @@ def frames(mu: Partition) -> tuple[int, ...]:
     return tuple(c for c, part in enumerate(mu, start=1) for _ in range(part))
 
 
+@cache
+def _layout(mu: Partition) -> tuple[int, tuple, tuple]:
+    """mu's frames as enumerate_sstd reads them: the interior mask (bit k
+    set when positions k and k + 1 share a frame), the (start, stop)
+    slice of each frame, and the code offset s + 1 - frame of each
+    position.  Cached once per mu, so no call builds them anew."""
+    fr = frames(mu)
+    interior = sum(1 << k for k in range(1, len(fr)) if fr[k - 1] == fr[k])
+    offsets = tuple(len(fr) + 1 - f for f in fr)
+    return interior, tuple(pairwise(accumulate(mu, initial=0))), offsets
+
+
 class ReadingWord(namedtuple("ReadingWord", "steps frames")):
     """An orbit's (step, frame) pairs sorted by step, equal steps by
     weakly decreasing frame: the same for every member."""
@@ -64,32 +85,77 @@ class ReadingWord(namedtuple("ReadingWord", "steps frames")):
         return f"[{top} | {bottom}]"
 
 
-class WeightedOrbit(namedtuple("WeightedOrbit", "weight members word")):
-    """One ~mu equivalence class with its reading word; members are
-    sorted, the first is the canonical representative."""
+def _orders(steps: tuple):
+    """The distinct orders of the ascending steps, in ascending order."""
+    if not steps:
+        yield ()
+    for i, st in enumerate(steps):
+        if not i or st != steps[i - 1]:
+            for rest in _orders(steps[:i] + steps[i + 1 :]):
+                yield (st, *rest)
+
+
+class WeightedOrbit(namedtuple("WeightedOrbit", "start weight word")):
+    """One semistandard ~mu orbit: its start shape, weight and reading
+    word.  The members are built from the word when asked for, in
+    ascending sort_key order; the first is the canonical representative."""
 
     __slots__ = ()
 
+    def _frame_steps(self) -> list[list]:
+        """Each frame's steps in ascending order: its steps in the word."""
+        parts = [[] for _ in self.weight]
+        for st, f in zip(*self.word):
+            parts[f - 1].append(st)
+        return parts
+
     @property
     def representative(self) -> KroneckerTableau:
-        return self.members[0]
+        return KroneckerTableau(self.start, tuple(chain(*self._frame_steps())))
+
+    @property
+    def members(self) -> tuple[KroneckerTableau, ...]:
+        orders = [list(_orders(steps)) for steps in self._frame_steps()]
+        return tuple(KroneckerTableau(self.start, tuple(chain(*p))) for p in product(*orders))
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        runs = (len(list(run)) for _, run in groupby(zip(*self.word)))
+        return math.prod(map(math.factorial, self.weight)) // math.prod(map(math.factorial, runs))
 
 
 @cache
-def _coded(lam: Partition, nu: Partition, s: int) -> tuple[tuple, tuple, tuple]:
+def _coded(lam: Partition, nu: Partition, s: int) -> tuple[tuple, tuple, tuple, tuple]:
     """Std0 of the triple, walked once for every weight of size s, as
-    (paths, the distinct steps they take in step order, rank(step) * (s + 1)
-    for every step of every path).  The codes are one flat tuple, not one
-    per path, so that few objects live long.  UnsupportedFamily and
-    RecursionError propagate and are not cached."""
-    paths = tuple(enumerate_std0(lam, nu, s))
-    steps = tuple(sorted({st for t in paths for st in t.steps}))
+    (the steps of each path, each path's descent mask with bit k set when
+    its step k exceeds step k + 1, the distinct steps in step order,
+    rank(step) * (s + 1) for every step of every path).  The codes are one
+    flat tuple, not one per path, so that few objects live long.
+    UnsupportedFamily and RecursionError propagate and are not cached."""
+    paths = tuple(t.steps for t in enumerate_std0(lam, nu, s))
+    steps = tuple(sorted({st for path in paths for st in path}))
     rank = {st: r * (s + 1) for r, st in enumerate(steps)}
-    return paths, steps, tuple(rank[st] for t in paths for st in t.steps)
+    codes = tuple(rank[st] for path in paths for st in path)
+    masks = tuple(sum(1 << k for k in range(1, s) if path[k - 1] > path[k]) for path in paths)
+    return paths, masks, steps, codes
+
+
+@cache
+def _after(shape: Partition, steps: tuple):
+    """The shape that every order of the ascending steps reaches from
+    shape, or None when some order takes a step that is not legal.  Every
+    order is legal exactly when each distinct first step is legal and
+    every order of the rest is legal after it.  One entry per (shape,
+    multiset) a least member asks about, and per sub-multiset below it."""
+    end = shape
+    for i, st in enumerate(steps):
+        if i and st == steps[i - 1]:
+            continue
+        nxt = apply_step(shape, st)
+        end = None if nxt is None else _after(nxt, steps[:i] + steps[i + 1 :])
+        if end is None:
+            return None
+    return end
 
 
 def enumerate_sstd(
@@ -97,29 +163,31 @@ def enumerate_sstd(
 ) -> list[WeightedOrbit]:
     """All semistandard orbits for the triple, ordered by representative.
 
-    Groups Std0 on its coded reading words and keeps the groups that hold
-    every arrangement, len * prod_i m_i! == prod_c mu_c! (see the module
-    docstring for the proof); members come in Std0's ascending sort_key
-    order, so each group's first path is its representative and the
-    groups come out in representative order.
+    Keeps each Std0 path that ascends inside every frame and whose every
+    frame passes _after: the least member of a whole orbit (see the
+    module docstring for the proof).  Std0 comes in ascending sort_key
+    order, so the orbits come out in representative order.
     """
     if mu.size != s:
         raise ValueError(f"|mu| = {mu.size} must equal s = {s}")
-    paths, steps, codes = _coded(lam, nu, s)
-    # Built after the walk: a huge mu ends the walk in RecursionError, a
-    # usage error, but its frame tuple would first exhaust memory.
+    paths, masks, steps, codes = _coded(lam, nu, s)
+    # Read after the walk: a huge mu ends the walk in RecursionError, a
+    # usage error, but its layout would first exhaust memory.
+    interior, cuts, offsets = _layout(mu)
     m = s + 1
-    offsets = tuple(m - f for f in frames(mu))
-    full = math.prod(map(math.factorial, mu))
-    groups: dict[tuple, list[KroneckerTableau]] = {}
-    for i, t in enumerate(paths):
-        key = tuple(sorted(map(add, offsets, codes[i * s : (i + 1) * s])))
-        groups.setdefault(key, []).append(t)
     orbits = []
-    for key, members in groups.items():
-        if full == len(members) * math.prod(map(math.factorial, Counter(key).values())):
-            word = ReadingWord(tuple(steps[c // m] for c in key), tuple(m - c % m for c in key))
-            orbits.append(WeightedOrbit(mu, tuple(members), word))
+    for i, path in enumerate(paths):
+        if masks[i] & interior:
+            continue
+        shape = lam
+        for a, b in cuts:
+            shape = _after(shape, path[a:b])
+            if shape is None:
+                break
+        else:
+            key = sorted(map(add, offsets, codes[i * s : i * s + s]))
+            word = ReadingWord(tuple([steps[c // m] for c in key]), tuple([m - c % m for c in key]))
+            orbits.append(WeightedOrbit(lam, mu, word))
     return orbits
 
 

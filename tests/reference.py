@@ -2,19 +2,20 @@
 
 The "r1·d1·a1" tableau parser, the adjacent-step swap, the
 breadth-first swap closure and the reading word of one member.  The
-library finds semistandard orbits by grouping Std0 on coded reading
-words (see stablekron.orbits for the proof); the closure and
-reading_word_of here are the definitions that grouping and its words
-are checked against, and the closure is the only way to see orbits that
-are not semistandard.
+library finds each semistandard orbit at its least member and builds
+the members from the reading word (see stablekron.orbits for the
+proof); the closure and reading_word_of here are the definitions those
+orbits and their words are checked against.  The closure is the only
+way to see orbits that are not semistandard, whose members no word
+gives, so it holds them in an orbit type of its own.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
 from operator import neg
 
-from stablekron.orbits import ReadingWord, WeightedOrbit, frames
+from stablekron.orbits import ReadingWord, frames
 from stablekron.partitions import Partition, parse_partition
 from stablekron.tableaux import KroneckerTableau, Step, apply_step, enumerate_std0
 
@@ -78,7 +79,22 @@ def reading_word_of(t: KroneckerTableau, mu: Partition) -> ReadingWord:
     return ReadingWord(tuple(st for st, _ in pairs), tuple(-f for _, f in pairs))
 
 
-def orbit_of(t: KroneckerTableau, mu: Partition) -> tuple[WeightedOrbit, bool]:
+class ClosureOrbit(namedtuple("ClosureOrbit", "weight members word")):
+    """A swap closure with every member listed, sorted; the first is the
+    representative."""
+
+    __slots__ = ()
+
+    @property
+    def representative(self) -> KroneckerTableau:
+        return self.members[0]
+
+    @property
+    def size(self) -> int:
+        return len(self.members)
+
+
+def orbit_of(t: KroneckerTableau, mu: Partition) -> tuple[ClosureOrbit, bool]:
     """Breadth-first closure of t under defined swaps inside a frame, and
     whether every such swap is defined at every member (semistandard)."""
     if t.length != mu.size:
@@ -98,12 +114,12 @@ def orbit_of(t: KroneckerTableau, mu: Partition) -> tuple[WeightedOrbit, bool]:
                 seen.add(nxt)
                 queue.append(nxt)
     members = tuple(sorted(seen, key=lambda m: m.sort_key))
-    return WeightedOrbit(mu, members, reading_word_of(t, mu)), semistandard
+    return ClosureOrbit(mu, members, reading_word_of(t, mu)), semistandard
 
 
 def enumerate_orbits(
     lam: Partition, nu: Partition, s: int, mu: Partition
-) -> list[tuple[WeightedOrbit, bool]]:
+) -> list[tuple[ClosureOrbit, bool]]:
     """All orbits (semistandard or not) with their flags, ordered by
     representative."""
     if mu.size != s:

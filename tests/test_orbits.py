@@ -1,11 +1,13 @@
+import itertools
+
 import pytest
 
-from reference import T, enumerate_orbits, orbit_of, reading_word_of, swap
+from reference import T, enumerate_orbits, is_path, orbit_of, reading_word_of, swap
 from stablekron import orbits, tableaux
 from stablekron.orbits import NotMaximalDepth, enumerate_sstd, frames, to_classical
 from stablekron.characters import partitions_of
 from stablekron.partitions import Partition, contains, parse_partition
-from stablekron.tableaux import UnsupportedFamily, enumerate_std0
+from stablekron.tableaux import KroneckerTableau, UnsupportedFamily, enumerate_std0
 
 
 def P(text):
@@ -119,13 +121,19 @@ def test_orbit_representatives_ascend_and_are_least():
             assert o.representative.sort_key == min(m.sort_key for m in o.members)
 
 
+def _view(o):
+    """What a library orbit and a closure orbit share.  The library reads
+    size from the word, prod mu_c! / prod m_i!; the closure counts its
+    members."""
+    return o.weight, o.representative, o.members, o.size, o.word
+
+
 def test_sstd_subset_of_orbits():
     lam, nu, s, mu = P("2,1"), P("3,3,2"), 5, P("2,2,1")
     sstd = enumerate_sstd(lam, nu, s, mu)
     assert len(sstd) == 4
-    every = dict(enumerate_orbits(lam, nu, s, mu))  # orbit -> semistandard
-    assert set(sstd) <= set(every)
-    assert all(every[o] for o in sstd)
+    every = {_view(o): flag for o, flag in enumerate_orbits(lam, nu, s, mu)}
+    assert all(every[_view(o)] for o in sstd)
 
 
 def _upto(n):
@@ -149,15 +157,45 @@ def _equivalence_triples():
 
 
 def test_sstd_equals_semistandard_bfs_orbits():
-    # the multiset grouping against the swap closure it replaces: the same
-    # orbits, members, words and order as the closures flagged semistandard
-    count = 0
+    # the least-member test against the swap closure: the same
+    # representatives, members, sizes, words and order as the closures
+    # flagged semistandard
+    count = members = 0
     for lam, nu, s, mu in _equivalence_triples():
-        want = [o for o, semistandard in enumerate_orbits(lam, nu, s, mu) if semistandard]
+        want = [_view(o) for o, semistandard in enumerate_orbits(lam, nu, s, mu) if semistandard]
         got = enumerate_sstd(lam, nu, s, mu)
-        assert got == want, (lam, nu, mu)
+        assert [_view(o) for o in got] == want, (lam, nu, mu)
+        assert all(o.start == lam for o in got)
         count += len(got)
-    assert count > 1000
+        members += sum(o.size for o in got)
+    assert (count, members) == (1512, 2228)
+
+
+def test_members_are_distinct_orders():
+    # one frame of eight equal steps has one order, not 8! permutations
+    (o,) = enumerate_sstd(P(""), P("8"), 8, P("8"))
+    assert o.size == 1
+    assert [str(m) for m in o.members] == ["·".join(["a1"] * 8)]
+
+
+def test_after_is_every_order():
+    # _after against trying every distinct order of every multiset of at
+    # most four steps legal at a shape with at most five boxes
+    checked = legal = 0
+    for shape in _upto(5):
+        moves = list(tableaux._moves(shape))
+        for k in range(5):
+            for steps in itertools.combinations_with_replacement(moves, k):
+                paths = [KroneckerTableau(shape, order) for order in set(itertools.permutations(steps))]
+                want = None
+                if all(map(is_path, paths)):
+                    ends = {t.levels()[-1] for t in paths}
+                    assert len(ends) == 1, (shape, steps)
+                    (want,) = ends
+                    legal += 1
+                assert orbits._after(shape, steps) == want, (shape, steps)
+                checked += 1
+    assert (checked, legal) == (13162, 3798)
 
 
 def _orbits(lam, nu, mu):
@@ -206,10 +244,14 @@ def test_coded_walks_once_per_triple(monkeypatch):
             enumerate_sstd(lam, nu, s, mu)
     assert asked == triples
     for lam, nu, s in triples:
-        paths, steps, codes = orbits._coded(lam, nu, s)
+        paths, masks, steps, codes = orbits._coded(lam, nu, s)
+        assert paths == tuple(t.steps for t in real(lam, nu, s))
         assert list(steps) == sorted(set(steps)) and len(codes) == s * len(paths) > 0
         assert all(c % (s + 1) == 0 for c in codes)
-        assert [steps[c // (s + 1)] for c in codes] == [st for t in paths for st in t.steps]
+        assert [steps[c // (s + 1)] for c in codes] == [st for path in paths for st in path]
+        descents = [{k for k in range(1, s) if path[k - 1] > path[k]} for path in paths]
+        assert [{k for k in range(s) if mask >> k & 1} for mask in masks] == descents
+        assert any(descents) and not all(descents)
     assert asked == triples  # the reads just made were warm
 
 
