@@ -1,8 +1,12 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage or domain error.
-Partitions are written "a,b,c" ("0" or "" for the empty partition).
-Each subcommand accepts only the options it reads.
+Each cmd_* works out its command's result and returns it; main alone
+prints it, in the --format asked for, and returns the exit code: 0
+success, 1 verification mismatch, 2 usage or domain error (an input too
+deep for the recursion limit or too large for memory among them).
+`count` names the engine it used; `oracle stable` forces the character
+oracle.  Partitions are written "a,b,c" ("0" or "" for the empty
+partition).  Each subcommand accepts only the options it reads.
 """
 
 from __future__ import annotations
@@ -13,47 +17,68 @@ import signal
 import sys
 
 from .characters import (
-    character,
-    kostka,
-    kronecker,
-    lr_coefficient,
-    stable_kronecker_oracle,
-    standard_count,
+    character, kostka, kronecker, lr_coefficient, stable_kronecker_oracle, standard_count
 )
 from .orbits import NotMaximalDepth, enumerate_sstd, frames, to_classical
 from .partitions import Partition, parse_partition
-from .reading import is_lattice, reading_word, stable_kronecker, stable_kronecker_copieri
-from .tableaux import (
-    KroneckerTableau,
-    TripleClass,
-    classify,
-    enumerate_std,
-    enumerate_std0,
-)
+from .reading import is_lattice, reading_word, stable_kronecker
+from .tableaux import KroneckerTableau, TripleClass, classify, enumerate_std, enumerate_std0
 from .verify import sweep_dims, sweep_maximal_depth, sweep_one_row
 
 
-def _orbit_json(orbit) -> dict:
-    obj = {
-        "weight": list(orbit.weight),
-        "representative": str(orbit.representative),
-        "size": orbit.size,
-        "semistandard": True,
-    }
-    try:
-        obj["classical"] = to_classical(orbit)
-    except NotMaximalDepth:
-        pass
-    word = reading_word(orbit)
-    obj["reading"] = {
-        "steps": [str(st) for st in word.steps],
-        "frames": list(word.frames),
-        "lattice": is_lattice(word),
-    }
-    return obj
+def cmd_count(args) -> dict:
+    lam, nu, mu = args.lam, args.nu, args.mu
+    value, method = stable_kronecker(lam, nu, mu)
+    return {"lambda": str(lam), "nu": str(nu), "mu": str(mu), "value": value, "method": method}
 
 
-def _orbit_dot(orbits) -> str:
+def cmd_enumerate_paths(args) -> dict:
+    walk = enumerate_std if args.kind == "std" else enumerate_std0
+    paths = [str(p) for p in walk(args.lam, args.nu, args.s)]
+    return {"count": len(paths), "tableaux": paths}
+
+
+def _paths_text(result) -> str:
+    return "\n".join([f"{result['count']} tableaux", *result["tableaux"]])
+
+
+def cmd_enumerate_orbits(args) -> list:
+    orbits = enumerate_sstd(args.lam, args.nu, args.mu.size, args.mu)
+    if args.kind == "latt":
+        orbits = [o for o in orbits if is_lattice(reading_word(o))]
+    return orbits
+
+
+def _orbits_text(orbits) -> str:
+    lines = [f"{len(orbits)} orbits"]
+    for o in orbits:
+        word = reading_word(o)
+        flag = "lattice" if is_lattice(word) else "non-lattice"
+        lines.append(f"{o.representative}  size={o.size}  {word}  {flag}")
+    return "\n".join(lines)
+
+
+def _orbits_json(orbits) -> str:
+    out = []
+    for orbit in orbits:
+        obj = {
+            "weight": list(orbit.weight),
+            "representative": str(orbit.representative),
+            "size": orbit.size,
+            "semistandard": True,
+        }
+        try:
+            obj["classical"] = to_classical(orbit)
+        except NotMaximalDepth:
+            pass
+        word = reading_word(orbit)
+        steps = [str(st) for st in word.steps]
+        obj["reading"] = {"steps": steps, "frames": [*word.frames], "lattice": is_lattice(word)}
+        out.append(obj)
+    return json.dumps({"count": len(out), "orbits": out})
+
+
+def _orbits_dot(orbits) -> str:
     """Swap graph of semistandard orbits.  Every interior swap is defined
     on their members, so the neighbour at k is the member with steps k and
     k+1 exchanged; an edge goes from the lesser path to the greater."""
@@ -64,77 +89,12 @@ def _orbit_dot(orbits) -> str:
             lines.append(f'  "{idx}:{m}";')
             steps = m.steps
             for k in range(1, m.length):
-                if fr[k - 1] != fr[k] or not steps[k - 1] < steps[k]:
-                    continue
-                other = KroneckerTableau(
-                    m.start, steps[: k - 1] + (steps[k], steps[k - 1]) + steps[k + 1 :]
-                )
-                lines.append(f'  "{idx}:{m}" -> "{idx}:{other}" [label="{k}"];')
+                if fr[k - 1] == fr[k] and steps[k - 1] < steps[k]:
+                    swapped = steps[: k - 1] + (steps[k], steps[k - 1]) + steps[k + 1 :]
+                    other = KroneckerTableau(m.start, swapped)
+                    lines.append(f'  "{idx}:{m}" -> "{idx}:{other}" [label="{k}"];')
     lines.append("}")
     return "\n".join(lines)
-
-
-def cmd_count(args) -> int:
-    lam, nu, mu = args.lam, args.nu, args.mu
-    if args.method == "oracle":
-        value, method = stable_kronecker_oracle(lam, nu, mu), "oracle"
-    elif args.method == "copieri":
-        value, method = stable_kronecker_copieri(lam, nu, mu), "copieri"
-    else:
-        value, method = stable_kronecker(lam, nu, mu)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "lambda": str(lam),
-                    "nu": str(nu),
-                    "mu": str(mu),
-                    "value": value,
-                    "method": method,
-                }
-            )
-        )
-    else:
-        print(f"{value} ({method})")
-    return 0
-
-
-def cmd_enumerate_paths(args) -> int:
-    walk = enumerate_std if args.kind == "std" else enumerate_std0
-    paths = walk(args.lam, args.nu, args.s)
-    if args.format == "json":
-        print(json.dumps({"count": len(paths), "tableaux": [str(p) for p in paths]}))
-    else:
-        print(f"{len(paths)} tableaux")
-        for p in paths:
-            print(str(p))
-    return 0
-
-
-def cmd_enumerate_orbits(args) -> int:
-    lam, nu, mu = args.lam, args.nu, args.mu
-    orbits = enumerate_sstd(lam, nu, mu.size, mu)
-    if args.kind == "latt":
-        orbits = [o for o in orbits if is_lattice(reading_word(o))]
-    if args.dot:
-        print(_orbit_dot(orbits))
-        return 0
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "count": len(orbits),
-                    "orbits": [_orbit_json(o) for o in orbits],
-                }
-            )
-        )
-    else:
-        print(f"{len(orbits)} orbits")
-        for o in orbits:
-            word = reading_word(o)
-            flag = "lattice" if is_lattice(word) else "non-lattice"
-            print(f"{o.representative}  size={o.size}  {word}  {flag}")
-    return 0
 
 
 # Each verify family: its sweep and its own bounds, in the sweep's argument
@@ -146,17 +106,15 @@ _SWEEPS = {
 }
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> list:
     sweep, bounds = _SWEEPS[args.family]
-    mismatches = sweep(*(getattr(args, name) for name in bounds))
-    for miss in mismatches:
-        print(
-            "MISMATCH ({lambda}; {nu}; {mu}) copieri={copieri} oracle={oracle}".format(
-                **miss
-            )
-        )
-    print("PASS" if not mismatches else f"FAIL ({len(mismatches)} mismatches)")
-    return 0 if not mismatches else 1
+    return sweep(*(getattr(args, name) for name in bounds))
+
+
+def _verify_text(mismatches) -> str:
+    line = "MISMATCH ({lambda}; {nu}; {mu}) copieri={copieri} oracle={oracle}"
+    verdict = f"FAIL ({len(mismatches)} mismatches)" if mismatches else "PASS"
+    return "\n".join([*(line.format(**miss) for miss in mismatches), verdict])
 
 
 _CASE_LABELS = {
@@ -168,13 +126,9 @@ _CASE_LABELS = {
 }
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> dict:
     tag = classify(args.lam, args.nu, args.mu.size)
-    if args.format == "json":
-        print(json.dumps({"class": tag.value, "label": _CASE_LABELS[tag]}))
-    else:
-        print(f"{tag.value}: {_CASE_LABELS[tag]}")
-    return 0
+    return {"class": tag.value, "label": _CASE_LABELS[tag]}
 
 
 # Each oracle kind: its function and the partition options it reads, in order.
@@ -188,14 +142,9 @@ _ORACLES = {
 }
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args) -> dict:
     function, names = _ORACLES[args.kind]
-    value = function(*(getattr(args, name) for name in names))
-    if args.format == "json":
-        print(json.dumps({"value": value}))
-    else:
-        print(value)
-    return 0
+    return {"value": function(*(getattr(args, name) for name in names))}
 
 
 def _partition_arg(text: str) -> Partition:
@@ -224,11 +173,8 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="stablekron",
-        description=(
-            "Stable Kronecker coefficients via lattice Kronecker tableaux. "
-            "The one-row family means lambda and nu are both one-row "
-            "partitions (mu arbitrary)."
-        ),
+        description="Stable Kronecker coefficients via lattice Kronecker tableaux. "
+        "The one-row family means lambda and nu are both one-row partitions (mu arbitrary).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -237,14 +183,17 @@ def build_parser() -> argparse.ArgumentParser:
             flags = f"-{name[0]}", f"--{name}"
             p.add_argument(*flags, type=_partition_arg, default=Partition())
 
-    def add_format(p):
-        p.add_argument("--format", choices=("text", "json"), default="text")
+    def add_command(p, func, **formats):
+        """p runs func, and main prints its result by formats[--format]:
+        text is the default, and --format is offered where there is a choice."""
+        if len(formats) > 1:
+            p.add_argument("--format", choices=tuple(formats), default="text")
+        p.set_defaults(func=func, formats=formats, format="text")
 
+    # a result that is a dict is its own JSON object, and its text a template
     p = sub.add_parser("count", help="compute one stable Kronecker coefficient")
     add_partitions(p, "lam", "nu", "mu")
-    p.add_argument("--method", choices=("auto", "copieri", "oracle"), default="auto")
-    add_format(p)
-    p.set_defaults(func=cmd_count)
+    add_command(p, cmd_count, text="{value} ({method})".format_map, json=json.dumps)
 
     p = sub.add_parser("enumerate", help="list paths or orbits")
     kinds = p.add_subparsers(dest="kind", required=True)
@@ -252,17 +201,14 @@ def build_parser() -> argparse.ArgumentParser:
         k = kinds.add_parser(kind)
         add_partitions(k, "lam", "nu")
         k.add_argument("-s", type=_count_arg, required=True, help="path length")
-        add_format(k)
-        k.set_defaults(func=cmd_enumerate_paths)
+        add_command(k, cmd_enumerate_paths, text=_paths_text, json=json.dumps)
     for kind in ("sstd", "latt"):
         k = kinds.add_parser(kind)
         add_partitions(k, "lam", "nu")
         k.add_argument("-m", "--mu", type=_partition_arg, required=True)
-        output = k.add_mutually_exclusive_group()
-        output.add_argument("--dot", action="store_true", help="emit the swap graph as DOT")
-        # no default, so any explicit --format conflicts with --dot
-        output.add_argument("--format", choices=("text", "json"))
-        k.set_defaults(func=cmd_enumerate_orbits)
+        add_command(
+            k, cmd_enumerate_orbits, text=_orbits_text, json=_orbits_json, dot=_orbits_dot
+        )
 
     p = sub.add_parser("verify", help="run an oracle-equivalence sweep")
     families = p.add_subparsers(dest="family", required=True)
@@ -270,31 +216,33 @@ def build_parser() -> argparse.ArgumentParser:
         f = families.add_parser(family)
         for name, default in bounds.items():
             f.add_argument(f"--{name.replace('_', '-')}", type=_count_arg, default=default)
-    p.set_defaults(func=cmd_verify)
+    add_command(p, cmd_verify, text=_verify_text)
 
     p = sub.add_parser("classify", help="name the family of a triple")
     add_partitions(p, "lam", "nu", "mu")
-    add_format(p)
-    p.set_defaults(func=cmd_classify)
+    add_command(p, cmd_classify, text="{class}: {label}".format_map, json=json.dumps)
 
     p = sub.add_parser("oracle", help="evaluate one oracle directly")
     kinds = p.add_subparsers(dest="kind", required=True)
     for kind, (_, names) in _ORACLES.items():
         k = kinds.add_parser(kind)
         add_partitions(k, *names)
-        add_format(k)
-    p.set_defaults(func=cmd_oracle)
+        add_command(k, cmd_oracle, text="{value}".format_map, json=json.dumps)
 
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command: the one place that prints a result or an error."""
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
-    except (ValueError, RecursionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        result = args.func(args)
+        print(args.formats[args.format](result))
+    except (ValueError, RecursionError, MemoryError) as exc:
+        # str(MemoryError()) is empty, so an empty message names the exception
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
+    return 1 if args.command == "verify" and result else 0
 
 
 def entry() -> None:

@@ -53,11 +53,9 @@ class NotMaximalDepth(ValueError):
     """Classical fillings only exist for pure-add (maximal-depth) orbits."""
 
 
-@cache
 def frames(mu: Partition) -> tuple[int, ...]:
     """The frame number of each step position 1..|mu|: frame c holds mu_c
-    positions, so (2,2,1) gives (1,1,2,2,3).  Cached: the reading word
-    of every orbit of a weight asks for the same tuple."""
+    positions, so (2,2,1) gives (1,1,2,2,3)."""
     return tuple(c for c, part in enumerate(mu, start=1) for _ in range(part))
 
 
@@ -98,7 +96,7 @@ def _orders(steps: tuple):
 class WeightedOrbit(namedtuple("WeightedOrbit", "start weight word")):
     """One semistandard ~mu orbit: its start shape, weight and reading
     word.  The members are built from the word when asked for, in
-    ascending sort_key order; the first is the canonical representative."""
+    ascending order of their steps; the first is the canonical representative."""
 
     __slots__ = ()
 
@@ -165,8 +163,8 @@ def enumerate_sstd(
 
     Keeps each Std0 path that ascends inside every frame and whose every
     frame passes _after: the least member of a whole orbit (see the
-    module docstring for the proof).  Std0 comes in ascending sort_key
-    order, so the orbits come out in representative order.
+    module docstring for the proof).  Std0 comes in ascending order of
+    steps, so the orbits come out in representative order.
     """
     if mu.size != s:
         raise ValueError(f"|mu| = {mu.size} must equal s = {s}")

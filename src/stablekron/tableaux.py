@@ -155,10 +155,6 @@ class KroneckerTableau(namedtuple("KroneckerTableau", "start steps")):
             out.append(nxt)
         return out
 
-    @property
-    def sort_key(self) -> tuple:
-        return tuple(st.sort_key for st in self.steps)
-
     def __str__(self) -> str:
         return "·".join(str(st) for st in self.steps)
 

@@ -113,7 +113,7 @@ def orbit_of(t: KroneckerTableau, mu: Partition) -> tuple[ClosureOrbit, bool]:
             elif nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
-    members = tuple(sorted(seen, key=lambda m: m.sort_key))
+    members = tuple(sorted(seen, key=lambda m: m.steps))
     return ClosureOrbit(mu, members, reading_word_of(t, mu)), semistandard
 
 

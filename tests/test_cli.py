@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference import swap
+from stablekron import characters, cli
 from stablekron.cli import main
 from stablekron.orbits import enumerate_sstd, frames
 from stablekron.partitions import parse_partition
+from stablekron.reading import is_lattice, reading_word
 
 
 def run(*argv):
@@ -49,11 +51,10 @@ def test_count_json():
 
 
 def test_count_forced_oracle():
-    code, out, _ = run(
-        "count", "-l", "4", "-n", "4", "-m", "3", "--method", "oracle"
-    )
+    # count picks its engine; oracle stable is the way to force the oracle
+    code, out, _ = run("oracle", "stable", "-l", "4", "-n", "4", "-m", "3")
     assert code == 0
-    assert out.strip() == "2 (oracle)"
+    assert out.strip() == "2"
 
 
 def test_count_auto_falls_back():
@@ -63,9 +64,7 @@ def test_count_auto_falls_back():
 
 
 def test_count_copieri_unsupported_is_domain_error():
-    code, out, err = run(
-        "count", "-l", "2,1", "-n", "2,1", "-m", "1", "--method", "copieri"
-    )
+    code, out, err = run("enumerate", "sstd", "-l", "2,1", "-n", "2,1", "-m", "1")
     assert code == 2
     assert not out
     assert err == (
@@ -175,7 +174,7 @@ def test_enumerate_json_orbit_keys():
 
 def test_enumerate_dot():
     code, out, _ = run(
-        "enumerate", "sstd", "-l", "4", "-n", "4", "-m", "2,1", "--dot"
+        "enumerate", "sstd", "-l", "4", "-n", "4", "-m", "2,1", "--format", "dot"
     )
     assert code == 0
     assert out.startswith("digraph swaps {")
@@ -193,7 +192,7 @@ def _dot_by_swaps(orbits):
                 if fr[k - 1] != fr[k]:
                     continue
                 other = swap(m, k)
-                if other is not None and other.sort_key > m.sort_key:
+                if other is not None and other.steps > m.steps:
                     lines.append(f'  "{idx}:{m}" -> "{idx}:{other}" [label="{k}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -208,11 +207,14 @@ def _dot_by_swaps(orbits):
     ],
 )
 def test_enumerate_dot_equals_swap_graph(lam, nu, mu):
-    code, out, _ = run("enumerate", "sstd", "-l", lam, "-n", nu, "-m", mu, "--dot")
-    assert code == 0
-    lam, nu, mu = map(parse_partition, (lam, nu, mu))
-    assert out == _dot_by_swaps(enumerate_sstd(lam, nu, mu.size, mu))
-    assert " -> " in out
+    weight = parse_partition(mu)
+    orbits = enumerate_sstd(parse_partition(lam), parse_partition(nu), weight.size, weight)
+    lattice = [o for o in orbits if is_lattice(reading_word(o))]
+    for kind, listed in (("sstd", orbits), ("latt", lattice)):
+        code, out, _ = run("enumerate", kind, "-l", lam, "-n", nu, "-m", mu, "--format", "dot")
+        assert code == 0
+        assert out == _dot_by_swaps(listed), kind
+    assert " -> " in _dot_by_swaps(orbits)  # the sstd graph has edges
 
 
 def test_enumerate_is_deterministic():
@@ -362,21 +364,49 @@ def test_bad_partition_text():
         # a weight whose frame layout would not fit in memory
         ("count", "-l", "0", "-n", "0", "-m", "1000000000000"),
         ("enumerate", "sstd", "-l", "0", "-n", "0", "-m", "1000000000000"),
-        # --dot where it would be ignored
+        # options that are gone: DOT is --format dot, and count picks its engine
         ("enumerate", "std", "-l", "4", "-n", "4", "-s", "3", "--dot"),
-        ("enumerate", "sstd", "-l", "4", "-n", "4", "-m", "2,1", "--dot", "--format=json"),
+        ("enumerate", "sstd", "-l", "4", "-n", "4", "-m", "2,1", "--dot"),
+        ("count", "-l", "4", "-n", "4", "-m", "3", "--method", "oracle"),
+        # a --format the command does not offer
+        ("enumerate", "std", "-l", "4", "-n", "4", "-s", "3", "--format", "dot"),
+        ("count", "-l", "4", "-n", "4", "-m", "3", "--format", "dot"),
+        ("verify", "dims", "--format", "text"),
         # -m or -s where it would be ignored
         ("enumerate", "std0", "-l", "4", "-n", "4", "-s", "3", "-m", "2,1"),
         ("enumerate", "sstd", "-l", "4", "-n", "4", "-m", "2,1", "-s", "9"),
         # a count that is not an integer
         ("enumerate", "std", "-l", "4", "-n", "4", "-s", "x"),
         ("verify", "dims", "--max-s", "x"),
-        # --dot with any --format
-        ("enumerate", "sstd", "-l", "4", "-n", "4", "-m", "2,1", "--dot", "--format", "text"),
     ],
 )
 def test_negative_argument_is_usage_error(argv):
     assert_usage_error(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("oracle", "kostka", "-b", "1000000000", "-m", "1000000000"),
+        ("oracle", "lr", "-l", "0", "-m", "1000000000", "-n", "1000000000"),
+    ],
+)
+def test_out_of_memory_is_usage_error(argv, monkeypatch):
+    # these would allocate a 10**9-cell grid; stand in for the allocation
+    # failing, as allocating it for real would take the test machine's memory
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(characters, "_fillings", exhausted)
+    assert run(*argv) == (2, "", "error: MemoryError\n")
+
+
+def test_verify_mismatch_exits_one(monkeypatch):
+    row = {"lambda": "2,1", "nu": "3", "mu": "1", "copieri": 1, "oracle": 2}
+    sweep = (lambda *bounds: [row, row], {"max_size": 4, "max_s": 3})
+    monkeypatch.setitem(cli._SWEEPS, "dims", sweep)
+    mismatch = "MISMATCH (2,1; 3; 1) copieri=1 oracle=2\n"
+    assert run("verify", "dims") == (1, mismatch * 2 + "FAIL (2 mismatches)\n", "")
 
 
 _PARTS = st.lists(st.integers(1, 5), min_size=1, max_size=4).map(

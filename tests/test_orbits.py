@@ -115,10 +115,10 @@ def test_orbit_representatives_ascend_and_are_least():
     ]
     for lam, nu, s, mu in cases:
         orbits = [o for o, _ in enumerate_orbits(lam, nu, s, mu)]
-        keys = [o.representative.sort_key for o in orbits]
+        keys = [o.representative.steps for o in orbits]
         assert len(orbits) > 1 and keys == sorted(set(keys))
         for o in orbits:
-            assert o.representative.sort_key == min(m.sort_key for m in o.members)
+            assert o.representative.steps == min(m.steps for m in o.members)
 
 
 def _view(o):

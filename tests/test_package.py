@@ -90,9 +90,7 @@ def run_module(*args):
 def test_module_entry_point_exit_codes():
     ok = run_module("count", "-l", "2,1", "-n", "3,3,2", "-m", "2,2,1")
     assert ok == (0, "1 (copieri)\n", "")
-    code, out, err = run_module(
-        "count", "-l", "2,1", "-n", "2,1", "-m", "1", "--method", "copieri"
-    )
+    code, out, err = run_module("enumerate", "std0", "-l", "2,1", "-n", "2,1", "-s", "1")
     assert (code, out) == (2, "")
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
@@ -158,10 +156,12 @@ def _module_level(node):
 
 
 def _names(nodes):
+    """The names read, not assigned: `x = property(...)` in a class body
+    reaches no def named x."""
     for node in nodes:
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             yield node.attr
 
 

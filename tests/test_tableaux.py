@@ -386,7 +386,7 @@ BOTH = (enumerate_std, enumerate_std0)
 )
 def test_paths_come_in_ascending_sort_key(lam, nu, s, calls):
     for enumerate_paths in calls:
-        keys = [t.sort_key for t in enumerate_paths(P(lam), P(nu), s)]
+        keys = [t.steps for t in enumerate_paths(P(lam), P(nu), s)]
         assert len(keys) > 1
         assert all(a < b for a, b in zip(keys, keys[1:]))
 
