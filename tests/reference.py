@@ -8,10 +8,14 @@ proof); the closure and reading_word_of here are the definitions those
 orbits and their words are checked against.  The closure is the only
 way to see orbits that are not semistandard, whose members no word
 gives, so it holds them in an orbit type of its own.
+
+centralizer_order is the definition the character oracle's class sizes
+are checked against.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque, namedtuple
 from operator import neg
 
@@ -134,3 +138,14 @@ def enumerate_orbits(
             seen.update(orb.members)
             orbits.append((orb, semistandard))
     return orbits
+
+
+def centralizer_order(rho) -> int:
+    """z_rho = prod_i i^{m_i} m_i! over cycle-length multiplicities m_i."""
+    z = 1
+    mult: dict[int, int] = {}
+    for part in rho:
+        mult[part] = mult.get(part, 0) + 1
+    for i, m in mult.items():
+        z *= i**m * math.factorial(m)
+    return z

@@ -9,9 +9,16 @@ import functools
 import itertools
 import math
 
-from reference import enumerate_orbits, is_path, orbit_of, parse_tableau, reading_word_of, swap
-from stablekron.characters import (
+from reference import (
     centralizer_order,
+    enumerate_orbits,
+    is_path,
+    orbit_of,
+    parse_tableau,
+    reading_word_of,
+    swap,
+)
+from stablekron.characters import (
     character,
     kostka,
     kronecker,

@@ -4,10 +4,10 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from reference import centralizer_order
 from stablekron import characters
 from stablekron.characters import (
     SizeMismatch,
-    centralizer_order,
     character,
     kostka,
     kronecker,
@@ -49,6 +49,13 @@ def test_centralizer_order():
         assert sum(
             math.factorial(n) // centralizer_order(rho) for rho in partitions_of(n)
         ) == math.factorial(n)
+    # the suffix recursion carries (z, first part, its multiplicity)
+    for n in range(13):
+        for kmax in range(n + 1):
+            assert characters._suffixes(n, kmax) == tuple(
+                (centralizer_order(rho), rho[0] if rho else 0, rho.count(rho[0]) if rho else 0)
+                for rho in partitions_of(n, kmax)
+            )
 
 
 def test_character_trivial_and_sign():
@@ -181,18 +188,51 @@ def test_padded_kronecker_is_constant_from_n_two_to_n_star():
 
 def test_class_table():
     for n in range(13):
-        classes = characters._classes(n)
-        assert [rho for rho, _ in classes] == list(partitions_of(n))
-        for rho, size in classes:
+        rhos = list(partitions_of(n))
+        sizes = characters._sizes(n)
+        assert len(sizes) == len(rhos)
+        for rho, size in zip(rhos, sizes):
             assert size * centralizer_order(rho) == math.factorial(n)
-        assert sum(size for _, size in classes) == math.factorial(n)
+        assert sum(sizes) == math.factorial(n)
+
+
+def test_column_is_character_class_by_class(monkeypatch):
+    # the column recursion and the one-class recursion check each other
+    monkeypatch.setattr(characters, "_COLUMNS", {})
+    for n in range(11):
+        for lam in map(Partition, partitions_of(n)):
+            for kmax in range(n + 1):
+                assert characters._column(characters._mask(lam), n, kmax) == tuple(
+                    character(lam, rho) for rho in partitions_of(n, kmax)
+                ), (lam, kmax)
+
+
+def test_kronecker_is_the_class_sum():
+    for n in range(8):
+        shapes = [Partition(p) for p in partitions_of(n)]
+        for a, b, c in itertools.combinations_with_replacement(shapes, 3):
+            total = sum(
+                character(a, rho) * character(b, rho) * character(c, rho)
+                * (math.factorial(n) // centralizer_order(rho))
+                for rho in partitions_of(n)
+            )
+            assert kronecker(a, b, c) * math.factorial(n) == total, (a, b, c)
+
+
+def test_character_reads_no_column(monkeypatch):
+    # one class of a shape of 100: a column would hold p(100) values
+    columns = {}
+    monkeypatch.setattr(characters, "_COLUMNS", columns)
+    assert character(P("40,30,20,10"), (25,) * 4) == 0
+    assert columns == {}
 
 
 @pytest.mark.parametrize("planted", [2, -3])
 def test_kronecker_rejects_corrupt_character(monkeypatch, planted):
     # g((2),(2),(2)) = (chi((2))^3 + 1) / 2! with the true chi = 1; a planted
-    # 2 gives 9, no multiple of 2!, and -3 gives -26, a negative multiple
-    monkeypatch.setitem(characters._CHAR_CACHE, (characters._mask((2,)), (2,)), planted)
+    # 2 gives 9, no multiple of 2!, and -3 gives -26, a negative multiple.
+    # The column of (2) holds chi at the classes (2) and (1,1).
+    monkeypatch.setitem(characters._COLUMNS, (characters._mask((2,)), 2), (planted, 1))
     with pytest.raises(ArithmeticError):
         kronecker(P("2"), P("2"), P("2"))
 
@@ -273,12 +313,10 @@ def test_character_cache_file_format(tmp_path, monkeypatch):
     path = tmp_path / "characters.cache"
     save_character_cache(str(path))
     assert path.read_text().splitlines() == ["1|1|1", "3,2|2,2,1|1", "3|2,1|1"]
-    # a planted chi^(2)((2)) = 2 is read back by the recursion, as in
-    # test_kronecker_rejects_corrupt_character
+    # the file feeds character only: a planted chi^(2)((2)) = 2 is read back
     path.write_text("2|2|2\n")
     assert load_character_cache(str(path)) == 1
-    with pytest.raises(ArithmeticError):
-        kronecker(P("2"), P("2"), P("2"))
+    assert character(P("2"), (2,)) == 2
 
 
 def test_character_closed_forms_at_wide_masks(monkeypatch):
