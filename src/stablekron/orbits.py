@@ -27,14 +27,12 @@ An orbit is held as (start, weight, word).  The reading word sorts the
 frame's steps in word order are that frame of the least member: the
 representative, the members (each frame's distinct orders, ascending)
 and the size (prod_c mu_c! / prod_i m_i!, m_i the runs of equal pairs)
-are all read from the word, and only when asked for.  The word is coded
-in small integers: a step of rank r among the distinct steps of Std0 at
-frame f is r * (s + 1) + s + 1 - f, so sorting the codes sorts the
-pairs.  As mu enters only through frames, every weight of size s shares
-one Std0 walk, its codes and descent masks, which _coded holds once per
-(lam, nu, s), the only cache of Std0.  The tests check the orbits
-against the swap closure in tests/reference.py, and each word against
-the definition there.
+are all read from the word, and only when asked for.  A kept path's
+word is one sort of its (step, -frame) pairs.  As mu enters only through
+frames, every weight of size s shares one Std0 walk and its descent
+masks, which _std0_paths holds once per (lam, nu, s), the only cache of
+Std0.  The tests check the orbits against the swap closure in
+tests/reference.py, and each word against the definition there.
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ import math
 from collections import namedtuple
 from functools import cache
 from itertools import accumulate, chain, groupby, pairwise, product
-from operator import add
 
 from .partitions import Partition
 from .tableaux import KroneckerTableau, apply_step, enumerate_std0
@@ -63,12 +60,11 @@ def frames(mu: Partition) -> tuple[int, ...]:
 def _layout(mu: Partition) -> tuple[int, tuple, tuple]:
     """mu's frames as enumerate_sstd reads them: the interior mask (bit k
     set when positions k and k + 1 share a frame), the (start, stop)
-    slice of each frame, and the code offset s + 1 - frame of each
-    position.  Cached once per mu, so no call builds them anew."""
+    slice of each frame, and -frame at each position.  Cached once per
+    mu, so no call builds them anew."""
     fr = frames(mu)
     interior = sum(1 << k for k in range(1, len(fr)) if fr[k - 1] == fr[k])
-    offsets = tuple(len(fr) + 1 - f for f in fr)
-    return interior, tuple(pairwise(accumulate(mu, initial=0))), offsets
+    return interior, tuple(pairwise(accumulate(mu, initial=0))), tuple(-f for f in fr)
 
 
 class ReadingWord(namedtuple("ReadingWord", "steps frames")):
@@ -123,19 +119,14 @@ class WeightedOrbit(namedtuple("WeightedOrbit", "start weight word")):
 
 
 @cache
-def _coded(lam: Partition, nu: Partition, s: int) -> tuple[tuple, tuple, tuple, tuple]:
+def _std0_paths(lam: Partition, nu: Partition, s: int) -> tuple[tuple, tuple]:
     """Std0 of the triple, walked once for every weight of size s, as
     (the steps of each path, each path's descent mask with bit k set when
-    its step k exceeds step k + 1, the distinct steps in step order,
-    rank(step) * (s + 1) for every step of every path).  The codes are one
-    flat tuple, not one per path, so that few objects live long.
-    UnsupportedFamily and RecursionError propagate and are not cached."""
+    its step k exceeds step k + 1).  UnsupportedFamily and RecursionError
+    propagate and are not cached."""
     paths = tuple(t.steps for t in enumerate_std0(lam, nu, s))
-    steps = tuple(sorted({st for path in paths for st in path}))
-    rank = {st: r * (s + 1) for r, st in enumerate(steps)}
-    codes = tuple(rank[st] for path in paths for st in path)
     masks = tuple(sum(1 << k for k in range(1, s) if path[k - 1] > path[k]) for path in paths)
-    return paths, masks, steps, codes
+    return paths, masks
 
 
 @cache
@@ -168,14 +159,13 @@ def enumerate_sstd(
     """
     if mu.size != s:
         raise ValueError(f"|mu| = {mu.size} must equal s = {s}")
-    paths, masks, steps, codes = _coded(lam, nu, s)
+    paths, masks = _std0_paths(lam, nu, s)
     # Read after the walk: a huge mu ends the walk in RecursionError, a
     # usage error, but its layout would first exhaust memory.
-    interior, cuts, offsets = _layout(mu)
-    m = s + 1
+    interior, cuts, negframes = _layout(mu)
     orbits = []
-    for i, path in enumerate(paths):
-        if masks[i] & interior:
+    for path, mask in zip(paths, masks):
+        if mask & interior:
             continue
         shape = lam
         for a, b in cuts:
@@ -183,8 +173,8 @@ def enumerate_sstd(
             if shape is None:
                 break
         else:
-            key = sorted(map(add, offsets, codes[i * s : i * s + s]))
-            word = ReadingWord(tuple([steps[c // m] for c in key]), tuple([m - c % m for c in key]))
+            pairs = sorted(zip(path, negframes))
+            word = ReadingWord(tuple([st for st, _ in pairs]), tuple([-f for _, f in pairs]))
             orbits.append(WeightedOrbit(lam, mu, word))
     return orbits
 

@@ -3,10 +3,10 @@
 Steps carry a total order (move-up < dummy < move-down, refined within
 each kind); the reading word of an orbit sorts the (step, frame) pairs of
 any member by that order, tie-breaking equal steps by weakly decreasing
-frame.  enumerate_sstd finds each orbit by that word, so an orbit
-carries it and ReadingWord lives in orbits.  Counting the semistandard
-orbits with lattice reading word gives the stable Kronecker coefficient
-on the supported families.
+frame.  enumerate_sstd builds that word from each orbit's least member,
+so an orbit carries it and ReadingWord lives in orbits.  Counting the
+semistandard orbits with lattice reading word gives the stable Kronecker
+coefficient on the supported families.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ decided once, by the cached _moves, and how far nu is from a shape once,
 by the cached _distance.  The walker reads both through _options, one
 cached table per (shape, nu, step set) of the moves it may take and
 their distances to nu, so its inner loop is one reach comparison.
-Std and Std0 are walked anew on every call; orbits._coded holds Std0
-once per (lam, nu, s) for every weight of size s.
+Std and Std0 are walked anew on every call; orbits._std0_paths holds
+Std0 once per (lam, nu, s) for every weight of size s.
 """
 
 from __future__ import annotations

@@ -10,7 +10,9 @@ way to see orbits that are not semistandard, whose members no word
 gives, so it holds them in an orbit type of its own.
 
 centralizer_order is the definition the character oracle's class sizes
-are checked against.
+are checked against, and one_row_closed_form the closed form of the
+stable Kronecker coefficient on a one-row pair, which uses no library
+code, that both engines are checked against.
 """
 
 from __future__ import annotations
@@ -149,3 +151,23 @@ def centralizer_order(rho) -> int:
     for i, m in mult.items():
         z *= i**m * math.factorial(m)
     return z
+
+
+def one_row_closed_form(a: int, b: int, mu: tuple) -> int:
+    """g((a), (b), mu) as the number of lattice semistandard orbits, each
+    one triple (r, d, d2): frame 1 takes r removals, d dummies and
+    mu_1 - r - d adds, frame 2 takes d2 dummies and mu_2 - d2 adds, frame
+    3 takes mu_3 adds.  The lattice word allows no removal past frame 1
+    and no frame past 3, and needs d2 <= r, mu_2 <= r + d and mu_3 <= d2.
+    Removals and dummies share the budget a, which also keeps a dummy
+    off an empty row in every order of its frame.  The row ends at b,
+    which fixes d2."""
+    if len(mu) > 3:
+        return 0
+    m1, m2, m3 = (*mu, 0, 0, 0)[:3]
+    count = 0
+    for r in range(min(a, m1) + 1):
+        for d in range(max(m2 - r, 0), min(a, m1) - r + 1):
+            d2 = a - r + (m1 - r - d) + m2 + m3 - b
+            count += m3 <= d2 <= min(r, m2, a - r - d)
+    return count

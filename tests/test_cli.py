@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -50,7 +52,7 @@ def test_count_json():
     }
 
 
-def test_count_forced_oracle():
+def test_oracle_stable_forces_the_oracle():
     # count picks its engine; oracle stable is the way to force the oracle
     code, out, _ = run("oracle", "stable", "-l", "4", "-n", "4", "-m", "3")
     assert code == 0
@@ -63,7 +65,7 @@ def test_count_auto_falls_back():
     assert out.strip().endswith("(oracle)")
 
 
-def test_count_copieri_unsupported_is_domain_error():
+def test_enumerate_sstd_unsupported_is_domain_error():
     code, out, err = run("enumerate", "sstd", "-l", "2,1", "-n", "2,1", "-m", "1")
     assert code == 2
     assert not out
@@ -215,6 +217,16 @@ def test_enumerate_dot_equals_swap_graph(lam, nu, mu):
         assert code == 0
         assert out == _dot_by_swaps(listed), kind
     assert " -> " in _dot_by_swaps(orbits)  # the sstd graph has edges
+
+
+def test_enumerate_sstd_golden_output():
+    # every orbit's representative, size, reading word and lattice flag,
+    # byte for byte in each format: "$ <argv>" and then its exact stdout
+    text = (Path(__file__).parent / "golden_enumerate_sstd.txt").read_text(encoding="utf-8")
+    sections = re.split(r"^\$ (.*)\n", text, flags=re.M)[1:]
+    assert len(sections) == 12
+    for argv, want in zip(sections[::2], sections[1::2]):
+        assert run(*argv.split()) == (0, want, ""), argv
 
 
 def test_enumerate_is_deterministic():

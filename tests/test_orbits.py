@@ -209,7 +209,7 @@ def test_sstd_walks_once_per_size(monkeypatch):
     weights = [Partition(mu) for mu in partitions_of(5)]
     cold = {}
     for mu in weights:
-        orbits._coded.cache_clear()
+        orbits._std0_paths.cache_clear()
         cold[mu] = _orbits(lam, nu, mu)
     walks = 0
     real = tableaux._walk
@@ -219,16 +219,16 @@ def test_sstd_walks_once_per_size(monkeypatch):
         walks += 1
         return real(*args)
 
-    orbits._coded.cache_clear()
+    orbits._std0_paths.cache_clear()
     monkeypatch.setattr(tableaux, "_walk", walk)
     assert {mu: _orbits(lam, nu, mu) for mu in weights} == cold
     assert walks == 1
     assert sum(map(len, cold.values())) > len(weights)
 
 
-def test_coded_walks_once_per_triple(monkeypatch):
-    # _coded asks for Std0 once per (lam, nu, s), whatever the weights of
-    # size s, and its codes are the ranks of each path's steps times s + 1
+def test_std0_paths_walk_once_per_triple(monkeypatch):
+    # _std0_paths asks for Std0 once per (lam, nu, s), whatever the
+    # weights of size s, and holds each path's descent mask
     asked = []
     real = orbits.enumerate_std0
 
@@ -236,7 +236,7 @@ def test_coded_walks_once_per_triple(monkeypatch):
         asked.append(triple)
         return real(*triple)
 
-    orbits._coded.cache_clear()
+    orbits._std0_paths.cache_clear()
     monkeypatch.setattr(orbits, "enumerate_std0", enumerate_paths)
     triples = [(P("2,1"), P("3,3,2"), 5), (P(""), P("3,2,1"), 6), (P("4"), P("4"), 3), (P("3"), P("2"), 5)]
     for lam, nu, s in triples * 2:
@@ -244,11 +244,8 @@ def test_coded_walks_once_per_triple(monkeypatch):
             enumerate_sstd(lam, nu, s, mu)
     assert asked == triples
     for lam, nu, s in triples:
-        paths, masks, steps, codes = orbits._coded(lam, nu, s)
+        paths, masks = orbits._std0_paths(lam, nu, s)
         assert paths == tuple(t.steps for t in real(lam, nu, s))
-        assert list(steps) == sorted(set(steps)) and len(codes) == s * len(paths) > 0
-        assert all(c % (s + 1) == 0 for c in codes)
-        assert [steps[c // (s + 1)] for c in codes] == [st for path in paths for st in path]
         descents = [{k for k in range(1, s) if path[k - 1] > path[k]} for path in paths]
         assert [{k for k in range(s) if mask >> k & 1} for mask in masks] == descents
         assert any(descents) and not all(descents)
@@ -266,16 +263,16 @@ def test_unsupported_is_raised_afresh(monkeypatch):
         return real(*triple)
 
     monkeypatch.setattr(orbits, "enumerate_std0", enumerate_paths)
-    held = orbits._coded.cache_info().currsize
+    held = orbits._std0_paths.cache_info().currsize
     for expected in (1, 2, 3):
         with pytest.raises(UnsupportedFamily):
             enumerate_sstd(P("2,1"), P("2,1"), 1, P("1"))
         assert walks == expected
-    assert orbits._coded.cache_info().currsize == held
+    assert orbits._std0_paths.cache_info().currsize == held
 
 
 def test_word_is_the_reading_word_of_every_member():
-    # the word each orbit carries, decoded from its integer key, against
+    # the word each orbit carries, built from its least member, against
     # the definition in tests/reference.py at every member
     triples = [
         (lam, nu, nu.size - lam.size)

@@ -1,8 +1,8 @@
 import pytest
 
-from reference import T, orbit_of, parse_step, reading_word_of
+from reference import T, one_row_closed_form, orbit_of, parse_step, reading_word_of
 from stablekron.orbits import enumerate_sstd
-from stablekron.partitions import parse_partition
+from stablekron.partitions import Partition, parse_partition
 from stablekron.reading import (
     ReadingWord,
     is_lattice,
@@ -71,6 +71,25 @@ def test_copieri_count_one_row():
     assert stable_kronecker_copieri(P("4"), P("4"), P("3")) == 2
     assert stable_kronecker_copieri(P("4"), P("4"), P("2,1")) == 2
     assert stable_kronecker_copieri(P("4"), P("4"), P("1,1,1")) == 1
+
+
+def test_one_row_closed_form_equals_both_engines():
+    # the closed form in tests/reference.py against the oracle and the
+    # lattice count on every one-row pair with rows <= 8 and |mu| <= 6;
+    # both engines give 0 whenever mu has more than three parts
+    checked = long = 0
+    for a in range(9):
+        for b in range(9):
+            for mu in partitions_up_to(6):
+                lam, nu = Partition((a,)), Partition((b,))
+                got = stable_kronecker_oracle(lam, nu, mu)
+                assert got == stable_kronecker_copieri(lam, nu, mu), (a, b, mu)
+                assert got == one_row_closed_form(a, b, tuple(mu)), (a, b, mu)
+                if len(mu) > 3:
+                    assert got == 0, (a, b, mu)
+                    long += 1
+                checked += 1
+    assert (checked, long) == (2430, 567)
 
 
 def test_copieri_rejects_other_families():

@@ -221,11 +221,11 @@ def cold_moves(monkeypatch):
     patched entry behind."""
     tableaux._moves.cache_clear()
     tableaux._options.cache_clear()
-    orbits._coded.cache_clear()
+    orbits._std0_paths.cache_clear()
     yield monkeypatch
     tableaux._moves.cache_clear()
     tableaux._options.cache_clear()
-    orbits._coded.cache_clear()
+    orbits._std0_paths.cache_clear()
 
 
 def test_std0_maximal_depth_not_contained(cold_moves):
@@ -413,11 +413,11 @@ def test_std0_returns_a_fresh_list():
 
 
 def test_warm_std0_is_the_cold_walk():
-    # enumerate_std0, asked twice, and the Std0 that orbits._coded holds,
+    # enumerate_std0, asked twice, and the Std0 that orbits._std0_paths holds,
     # cold and warm, are the walk under the triple's _STD0 row
     shapes = partitions_up_to(4)
     walked = 0
-    orbits._coded.cache_clear()
+    orbits._std0_paths.cache_clear()
     for lam, nu, s in itertools.product(shapes, shapes, range(5)):
         row = tableaux._STD0.get(classify(lam, nu, s))
         if row is None:
@@ -426,7 +426,7 @@ def test_warm_std0_is_the_cold_walk():
         cold = tableaux._walk(lam, nu, s, budget(lam, s), steps)
         assert enumerate_std0(lam, nu, s) == enumerate_std0(lam, nu, s) == cold, (lam, nu, s)
         paths = tuple(t.steps for t in cold)
-        assert orbits._coded(lam, nu, s)[0] == orbits._coded(lam, nu, s)[0] == paths
+        assert orbits._std0_paths(lam, nu, s)[0] == orbits._std0_paths(lam, nu, s)[0] == paths
         walked += 1
     assert walked > 100
 
