@@ -10,13 +10,17 @@ Characters run on the abacus (James-Kerber, The Representation Theory of
 the Symmetric Group, 2.7): a shape is its beta-set held as an int bead
 mask, and a rim-hook removal is a few bit operations on it (_hooks).
 
-kronecker reads whole character columns.  _column(mask, n, kmax) holds
-chi of the shape at every class of n with parts <= kmax, in partitions_of
-order, memoized on (mask, kmax); its block for first part k is the
-signed sum of the columns (at kmax = k) of the shapes left by each k-rim
-hook.  The class sizes n!/z_rho come from the same suffix recursion, so
-a warm coefficient is one pass over a size table and three columns of
-p(n) entries.
+kronecker reads whole character columns.  _column(mask, n, kmax) is chi
+of the shape at every class of n with parts <= kmax, in partitions_of
+order.  That order puts the classes with parts <= k at the tail, so each
+shape keeps one column, at the largest kmax asked so far: a smaller kmax
+reads a suffix of it, and a larger one computes only the missing blocks
+of first parts and puts them in front.  The block for first part k >= 2
+is the signed sum of the columns (at kmax = k) of the shapes left by each
+k-rim hook; the block for k = 1 is the one class (1^n), where chi is f^lam
+in closed form (_standard).  The class sizes n!/z_rho come from the same
+suffix recursion, so a warm coefficient is one pass over a size table and
+three columns of p(n) entries.
 
 character(lam, rho) stays a one-class recursion with its own memo keyed
 on (mask, remaining cycles), since a column costs every class of n:
@@ -136,36 +140,50 @@ def _sizes(n: int) -> tuple[int, ...]:
     return tuple(nfact // z for z, _, _ in _suffixes(n, n))
 
 
-# Character columns, keyed on (bead mask, largest part allowed).
-_COLUMNS: dict[tuple[int, int], tuple[int, ...]] = {}
+def _standard(mask: int, n: int) -> int:
+    """f of the shape (mask, size n): n! prod_{a<b} (b - a) / prod_b b!
+    over its beads a, b."""
+    beads = [b for b in range(mask.bit_length()) if mask >> b & 1]
+    num, den = math.factorial(n), 1
+    for j, b in enumerate(beads):
+        den *= math.factorial(b)
+        for a in beads[:j]:
+            num *= b - a
+    return num // den
+
+
+# Character columns, keyed on the bead mask: (largest kmax so far, column).
+_COLUMNS: dict[int, tuple[int, tuple[int, ...]]] = {}
 
 
 def _column(mask: int, n: int, kmax: int) -> tuple[int, ...]:
     """chi of the shape (mask, size n) at each class of n with parts <=
-    kmax, in partitions_of order: the block of classes with first part k
-    is the signed sum of the columns, at kmax = k, of the shapes its
-    k-rim hooks leave."""
+    kmax, in partitions_of order.  The stored column of the shape is
+    sliced or extended: the block of classes with first part k >= 2 is the
+    signed sum of the columns, at kmax = k, of the shapes its k-rim hooks
+    leave, and the block for k = 1 is f of the shape."""
     kmax = min(kmax, n)
-    key = (mask, kmax)
-    column = _COLUMNS.get(key)
-    if column is not None:
-        return column
-    out = [1] if not n else []
-    for k in range(kmax, 0, -1):
-        block = (0,) * len(_suffixes(n - k, k))
-        for moved, odd in _hooks(mask, k):
-            block = tuple(map(sub if odd else add, block, _column(moved, n - k, k)))
-        out += block
-    column = _COLUMNS[key] = tuple(out)
+    entry = _COLUMNS.get(mask)
+    if entry is None:
+        entry = _COLUMNS[mask] = (1, (_standard(mask, n),)) if n else (0, (1,))
+    top, column = entry
+    if kmax < top:
+        return column[len(column) - len(_suffixes(n, kmax)):]
+    if kmax > top:
+        head = []
+        for k in range(kmax, top, -1):
+            block = (0,) * len(_suffixes(n - k, k))
+            for moved, odd in _hooks(mask, k):
+                block = tuple(map(sub if odd else add, block, _column(moved, n - k, k)))
+            head += block
+        column = tuple(head) + column
+        _COLUMNS[mask] = (kmax, column)
     return column
 
 
-def kronecker(lam: Partition, mu: Partition, nu: Partition) -> int:
-    """g(lam, mu, nu) = sum_rho chi^lam chi^mu chi^nu / z_rho."""
-    n = lam.size
-    if mu.size != n or nu.size != n:
-        raise SizeMismatch("all three partitions must have equal size")
-    a, b, c = (_column(_mask(p), n, n) for p in (lam, mu, nu))
+def _kronecker(n: int, *masks: int) -> int:
+    """g of the three shapes of size n given by their bead masks."""
+    a, b, c = (_column(mask, n, n) for mask in masks)
     total = sum(map(mul, map(mul, _sizes(n), a), map(mul, b, c)))
     value, rest = divmod(total, math.factorial(n))
     if rest or value < 0:
@@ -173,9 +191,25 @@ def kronecker(lam: Partition, mu: Partition, nu: Partition) -> int:
     return value
 
 
+def kronecker(lam: Partition, mu: Partition, nu: Partition) -> int:
+    """g(lam, mu, nu) = sum_rho chi^lam chi^mu chi^nu / z_rho."""
+    n = lam.size
+    if mu.size != n or nu.size != n:
+        raise SizeMismatch("all three partitions must have equal size")
+    return _kronecker(n, _mask(lam), _mask(mu), _mask(nu))
+
+
 def padded_kronecker(lam: Partition, nu: Partition, mu: Partition, n: int) -> int:
-    """g of the three partitions padded to total n."""
-    return kronecker(pad(lam, n), pad(nu, n), pad(mu, n))
+    """g of the three partitions padded to total n.  Padding p adds a
+    first part n - |p|, that is one bead at n - |p| + len(p) above the
+    beads of p."""
+    masks = []
+    for p in (lam, nu, mu):
+        first = n - p.size
+        if first < p.row(1):
+            pad(p, n)  # raises FirstRowTooShort with pad's message
+        masks.append(_mask(p) | (1 << first + len(p)) if first else _mask(p))
+    return _kronecker(n, *masks)
 
 
 def min_padding(lam: Partition, nu: Partition, mu: Partition) -> int:
@@ -269,15 +303,9 @@ def kostka(beta: Partition, content) -> int:
 
 
 def standard_count(mu: Partition) -> int:
-    """f^mu by the hook length formula."""
-    if not mu:
-        return 1
-    conj = [sum(1 for p in mu if p > j) for j in range(mu[0])]
-    result = math.factorial(mu.size)
-    for i, p in enumerate(mu):
-        for j in range(p):
-            result //= (p - j) + (conj[j] - i) - 1
-    return result
+    """f^mu, the number of standard tableaux of shape mu, in the bead
+    closed form that the character columns start from."""
+    return _standard(_mask(mu), mu.size)
 
 
 def save_character_cache(path: str) -> None:

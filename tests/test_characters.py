@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,7 +22,7 @@ from stablekron.characters import (
     stable_kronecker_oracle,
     standard_count,
 )
-from stablekron.partitions import Partition, parse_partition
+from stablekron.partitions import FirstRowTooShort, Partition, pad, parse_partition
 
 
 def P(text):
@@ -207,6 +208,55 @@ def test_column_is_character_class_by_class(monkeypatch):
                 ), (lam, kmax)
 
 
+@pytest.mark.parametrize("order", ["descending", "shuffled"])
+def test_column_grows_in_any_order(monkeypatch, order):
+    # each shape keeps one column: a smaller kmax slices it, a larger one
+    # extends it, so the order of the requests must not change a value
+    monkeypatch.setattr(characters, "_COLUMNS", {})
+    asks = [
+        (lam, kmax)
+        for n in range(11)
+        for lam in map(Partition, partitions_of(n))
+        for kmax in range(n, -1, -1)
+    ]
+    if order == "shuffled":
+        random.Random(0).shuffle(asks)
+    for lam, kmax in asks:
+        assert characters._column(characters._mask(lam), lam.size, kmax) == tuple(
+            character(lam, rho) for rho in partitions_of(lam.size, kmax)
+        ), (lam, kmax)
+
+
+def test_columns_hold_one_entry_per_shape(monkeypatch):
+    columns = {}
+    monkeypatch.setattr(characters, "_COLUMNS", columns)
+    assert stable_kronecker_oracle(P("7,5,1,1"), P("6,3,3"), P("2,2,1")) == 72
+    assert len(columns) < 500  # a column per (mask, kmax) asked would make 1,473
+    for mask, (top, column) in columns.items():
+        n = sum(characters._shape(mask))
+        assert characters._mask(characters._shape(mask)) == mask
+        assert len(column) == len(characters._suffixes(n, top))
+
+
+def test_padded_kronecker_pads_the_masks():
+    shapes = partitions_up_to(6)
+    for lam, nu, mu in itertools.combinations_with_replacement(shapes, 3):
+        floor = min_padding(lam, nu, mu)
+        for n in range(floor, floor + 5):
+            assert padded_kronecker(lam, nu, mu, n) == kronecker(
+                pad(lam, n), pad(nu, n), pad(mu, n)
+            ), (lam, nu, mu, n)
+    # too small an n fails in the first shape that pad rejects, with its text
+    for lam, nu, mu in itertools.product(shapes, repeat=3):
+        for n in (min_padding(lam, nu, mu) - 1, lam.size - 1, mu.size - 1):
+            with pytest.raises(FirstRowTooShort) as want:
+                for p in (lam, nu, mu):
+                    pad(p, n)
+            with pytest.raises(FirstRowTooShort) as got:
+                padded_kronecker(lam, nu, mu, n)
+            assert str(got.value) == str(want.value)
+
+
 def test_kronecker_is_the_class_sum():
     for n in range(8):
         shapes = [Partition(p) for p in partitions_of(n)]
@@ -232,7 +282,7 @@ def test_kronecker_rejects_corrupt_character(monkeypatch, planted):
     # g((2),(2),(2)) = (chi((2))^3 + 1) / 2! with the true chi = 1; a planted
     # 2 gives 9, no multiple of 2!, and -3 gives -26, a negative multiple.
     # The column of (2) holds chi at the classes (2) and (1,1).
-    monkeypatch.setitem(characters._COLUMNS, (characters._mask((2,)), 2), (planted, 1))
+    monkeypatch.setitem(characters._COLUMNS, characters._mask((2,)), (2, (planted, 1)))
     with pytest.raises(ArithmeticError):
         kronecker(P("2"), P("2"), P("2"))
 
