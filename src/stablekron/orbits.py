@@ -20,7 +20,8 @@ shape the frame starts on, and the least member of such an orbit is the
 one whose steps ascend inside every frame.  enumerate_sstd therefore
 keeps a Std0 path exactly when its descent mask misses mu's interior
 positions and _after passes for each of its frames: each orbit once, at
-its least member, in Std0's ascending order.
+its least member, in Std0's ascending order.  A frame of one step needs
+no _after pass, as its one order is the path's own and the path is legal.
 
 An orbit is held as (start, weight, word).  The reading word sorts the
 (step, frame) pairs by step, equal steps by decreasing frame, so a
@@ -60,11 +61,15 @@ def frames(mu: Partition) -> tuple[int, ...]:
 def _layout(mu: Partition) -> tuple[int, tuple, tuple]:
     """mu's frames as enumerate_sstd reads them: the interior mask (bit k
     set when positions k and k + 1 share a frame), the (start, stop)
-    slice of each frame, and -frame at each position.  Cached once per
-    mu, so no call builds them anew."""
+    slice of each frame of two or more steps, and -frame at each
+    position.  A one-step frame has one order, the path's own, which is
+    legal because the path is, so it needs no _after check; mu's parts
+    descend, so the frames that do are a prefix and their slices chain
+    from lam.  Cached once per mu, so no call builds them anew."""
     fr = frames(mu)
     interior = sum(1 << k for k in range(1, len(fr)) if fr[k - 1] == fr[k])
-    return interior, tuple(pairwise(accumulate(mu, initial=0))), tuple(-f for f in fr)
+    cuts = tuple(pairwise(accumulate((part for part in mu if part > 1), initial=0)))
+    return interior, cuts, tuple(-f for f in fr)
 
 
 class ReadingWord(namedtuple("ReadingWord", "steps frames")):
@@ -153,9 +158,10 @@ def enumerate_sstd(
     """All semistandard orbits for the triple, ordered by representative.
 
     Keeps each Std0 path that ascends inside every frame and whose every
-    frame passes _after: the least member of a whole orbit (see the
-    module docstring for the proof).  Std0 comes in ascending order of
-    steps, so the orbits come out in representative order.
+    frame of two or more steps passes _after: the least member of a whole
+    orbit (see the module docstring for the proof).  Std0 comes in
+    ascending order of steps, so the orbits come out in representative
+    order.
     """
     if mu.size != s:
         raise ValueError(f"|mu| = {mu.size} must equal s = {s}")

@@ -36,9 +36,12 @@ class UnsupportedFamily(ValueError):
 class Step(tuple):
     """One integral step: remove a box in row ``remove_row``, add one in
     row ``add_row``.  Row 0 means no change at that half-level.  Held as
-    (sort_key, remove_row, add_row), so tuple order is the step order:
-    move-up < dummy < move-down, refined within each kind; no two steps
-    share a sort_key, so it alone decides every comparison."""
+    the flat tuple (kind, a, b, remove_row, add_row) of ints, whose first
+    three make the sort_key, so tuple order is the step order: move-up <
+    dummy < move-down, refined within each kind; no two steps share a
+    sort_key, so it alone decides every comparison, and no comparison or
+    hash recurses into a nested tuple.  A step alone in its frame has one
+    order, the path's own, so orbits never checks it with _after."""
 
     __slots__ = ()
 
@@ -46,15 +49,15 @@ class Step(tuple):
         p, q = remove_row, add_row
         if p < 0 or q < 0:
             raise ValueError("row indices must be >= 0")
-        key = (0, q, -p) if p > q else (1, -p) if p == q else (2, -p, q)
-        return super().__new__(cls, (key, p, q))
+        key = (0, q, -p) if p > q else (1, -p, 0) if p == q else (2, -p, q)
+        return super().__new__(cls, (*key, p, q))
 
     def __getnewargs__(self):
-        return self[1:]
+        return self[3:]
 
-    sort_key = property(itemgetter(0))
-    remove_row = property(itemgetter(1))
-    add_row = property(itemgetter(2))
+    sort_key = property(itemgetter(slice(3)))
+    remove_row = property(itemgetter(3))
+    add_row = property(itemgetter(4))
 
     @classmethod
     def add(cls, i: int) -> "Step":
@@ -72,7 +75,7 @@ class Step(tuple):
         return f"Step({self.remove_row}, {self.add_row})"
 
     def __str__(self) -> str:
-        _, p, q = self
+        *_, p, q = self
         if p == q:
             return f"d{p}"
         if q == 0:

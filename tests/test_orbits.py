@@ -252,6 +252,35 @@ def test_std0_paths_walk_once_per_triple(monkeypatch):
     assert asked == triples  # the reads just made were warm
 
 
+def test_sstd_one_step_frames_need_no_after(monkeypatch):
+    # under the weight (1^s) every frame holds one step, whose one order is
+    # the path's own: each Std0 path is an orbit of size 1, in Std0's
+    # order, and _after is never asked
+    calls = 0
+    real = orbits._after
+
+    def after(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(orbits, "_after", after)
+    triples = [
+        (lam, nu, nu.size - lam.size) for nu in _upto(7) for lam in _upto(nu.size) if contains(lam, nu)
+    ]
+    rows = [Partition((a,)) for a in range(6)]
+    triples += [(lam, nu, s) for lam in rows for nu in rows for s in range(7)]
+    paths = 0
+    for lam, nu, s in triples:
+        std0 = enumerate_std0(lam, nu, s)
+        got = enumerate_sstd(lam, nu, s, Partition((1,) * s))
+        assert [o.members for o in got] == [(t,) for t in std0], (lam, nu, s)
+        assert all(o.size == 1 for o in got)
+        paths += len(std0)
+    assert calls == 0
+    assert (len(triples), paths) == (701, 3307)
+
+
 def test_unsupported_is_raised_afresh(monkeypatch):
     # a triple off the _STD0 table is asked about, and refused, every time
     walks = 0

@@ -59,13 +59,22 @@ def test_step_order_is_total():
     assert len(set(keys)) == len(keys)
     for a, b in itertools.combinations(steps, 2):
         assert (a < b) != (b < a)
-    # a Step is the tuple (sort_key, remove_row, add_row): native tuple
-    # order is the sort_key order
+    # a Step is the flat tuple (kind, a, b, remove_row, add_row) whose
+    # first three are the sort_key: native tuple order is the sort_key order
     assert sorted(steps) == sorted(steps, key=lambda st: st.sort_key)
     for st, (p, q) in zip(steps, itertools.product(range(9), repeat=2)):
         assert (st.remove_row, st.add_row) == (p, q)
         assert pickle.loads(pickle.dumps(st)) == st
     assert repr(Step(2, 5)) == "Step(2, 5)"
+
+
+def test_step_is_a_flat_tuple_of_ints():
+    # no element is a nested tuple, so comparing and hashing a step
+    # never recurses
+    for p, q in itertools.product(range(9), repeat=2):
+        st = Step(p, q)
+        assert all(type(x) is int for x in st), st
+        assert st.sort_key == tuple(st)[:3]
 
 
 def test_apply_step():
