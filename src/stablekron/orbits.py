@@ -23,17 +23,25 @@ positions and _after passes for each of its frames: each orbit once, at
 its least member, in Std0's ascending order.  A frame of one step needs
 no _after pass, as its one order is the path's own and the path is legal.
 
-An orbit is held as (start, weight, word).  The reading word sorts the
-(step, frame) pairs by step, equal steps by decreasing frame, so a
-frame's steps in word order are that frame of the least member: the
-representative, the members (each frame's distinct orders, ascending)
-and the size (prod_c mu_c! / prod_i m_i!, m_i the runs of equal pairs)
-are all read from the word, and only when asked for.  A kept path's
-word is one sort of its (step, -frame) pairs.  As mu enters only through
-frames, every weight of size s shares one Std0 walk and its descent
-masks, which _std0_paths holds once per (lam, nu, s), the only cache of
-Std0.  The tests check the orbits against the swap closure in
-tests/reference.py, and each word against the definition there.
+An orbit is held as (start, weight, steps), steps its least member:
+each frame's steps are a slice of it, ascending, so the representative
+is the steps themselves, the members are each frame's distinct orders
+(ascending), and the size is prod_c mu_c! / prod_i m_i!, m_i the runs of
+equal steps inside a frame.  A kept path is appended as it is.  The
+reading word sorts the (step, frame) pairs by step, equal steps by
+decreasing frame, so a frame's steps in word order are that frame's
+slice, and the word is built, by one sort of the (step, -frame) pairs,
+only when asked for.  The word is lattice exactly when, for every frame
+f >= 2 and j < mu_f, the j-th step of frame f exceeds the j-th step of
+frame f - 1: equal steps come in decreasing frame order, so the j-th f
+follows the j-th f - 1 exactly when its step is strictly larger.
+_layout holds that comparison as two getters (frame_pairs), and the
+lattice count reads it from the steps, with no word.  As mu enters only
+through frames, every weight of size s shares one Std0 walk and its
+descent masks, which _std0_paths holds once per (lam, nu, s), the only
+cache of Std0.  The tests check the orbits against the swap closure in
+tests/reference.py, and each word and the frame test against the
+definitions there and in reading.
 """
 
 from __future__ import annotations
@@ -42,6 +50,7 @@ import math
 from collections import namedtuple
 from functools import cache
 from itertools import accumulate, chain, groupby, pairwise, product
+from operator import itemgetter, neg
 
 from .partitions import Partition
 from .tableaux import KroneckerTableau, apply_step, enumerate_std0
@@ -57,19 +66,44 @@ def frames(mu: Partition) -> tuple[int, ...]:
     return tuple(c for c, part in enumerate(mu, start=1) for _ in range(part))
 
 
+def _getter(indices: list) -> itemgetter:
+    """itemgetter of the indices that returns a tuple however many there
+    are: a slice stands in for none or one."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return itemgetter(slice(indices[0], indices[0] + 1) if indices else slice(0))
+
+
+_Layout = namedtuple("_Layout", "interior cuts frames above below")
+
+
 @cache
-def _layout(mu: Partition) -> tuple[int, tuple, tuple]:
-    """mu's frames as enumerate_sstd reads them: the interior mask (bit k
-    set when positions k and k + 1 share a frame), the (start, stop)
-    slice of each frame of two or more steps, and -frame at each
-    position.  A one-step frame has one order, the path's own, which is
-    legal because the path is, so it needs no _after check; mu's parts
-    descend, so the frames that do are a prefix and their slices chain
-    from lam.  Cached once per mu, so no call builds them anew."""
+def _layout(mu: Partition) -> _Layout:
+    """mu's frames as the orbits and the lattice count read them: the
+    interior mask (bit k set when positions k and k + 1 share a frame),
+    the (start, stop) slice of each frame of two or more steps,
+    frames(mu), and the getters above and below of the lattice test.  A
+    one-step frame has one order, the path's own, which is legal because
+    the path is, so it needs no _after check; mu's parts descend, so the
+    frames that do are a prefix and their slices chain from lam.  above
+    picks the j-th position of frame f and below the j-th of frame f - 1,
+    for every f >= 2 and j < mu_f (mu_f <= mu_(f-1), so frame f - 1 has
+    it).  Cached once per mu, so no call builds them anew."""
     fr = frames(mu)
     interior = sum(1 << k for k in range(1, len(fr)) if fr[k - 1] == fr[k])
     cuts = tuple(pairwise(accumulate((part for part in mu if part > 1), initial=0)))
-    return interior, cuts, tuple(-f for f in fr)
+    starts = list(accumulate(mu, initial=0))
+    pairs = [(starts[f] + j, starts[f - 1] + j) for f in range(1, len(mu)) for j in range(mu[f])]
+    return _Layout(interior, cuts, fr, _getter([a for a, _ in pairs]), _getter([b for _, b in pairs]))
+
+
+def frame_pairs(mu: Partition) -> tuple[itemgetter, itemgetter]:
+    """(above, below): an orbit of weight mu has a lattice reading word
+    exactly when all(map(gt, above(steps), below(steps))) at its least
+    member, each step of a frame past the first strictly above the step
+    of the frame before it in the same place (module docstring)."""
+    layout = _layout(mu)
+    return layout.above, layout.below
 
 
 class ReadingWord(namedtuple("ReadingWord", "steps frames")):
@@ -94,33 +128,37 @@ def _orders(steps: tuple):
                 yield (st, *rest)
 
 
-class WeightedOrbit(namedtuple("WeightedOrbit", "start weight word")):
-    """One semistandard ~mu orbit: its start shape, weight and reading
-    word.  The members are built from the word when asked for, in
-    ascending order of their steps; the first is the canonical representative."""
+class WeightedOrbit(namedtuple("WeightedOrbit", "start weight steps")):
+    """One semistandard ~mu orbit: its start shape, weight and least
+    member's steps, which ascend inside every frame.  The members, the
+    size and the reading word are built from the steps when asked for;
+    the members come in ascending order of their steps, the first being
+    the least member, the canonical representative."""
 
     __slots__ = ()
 
-    def _frame_steps(self) -> list[list]:
-        """Each frame's steps in ascending order: its steps in the word."""
-        parts = [[] for _ in self.weight]
-        for st, f in zip(*self.word):
-            parts[f - 1].append(st)
-        return parts
-
     @property
     def representative(self) -> KroneckerTableau:
-        return KroneckerTableau(self.start, tuple(chain(*self._frame_steps())))
+        return KroneckerTableau(self.start, self.steps)
 
     @property
     def members(self) -> tuple[KroneckerTableau, ...]:
-        orders = [list(_orders(steps)) for steps in self._frame_steps()]
+        cuts = pairwise(accumulate(self.weight, initial=0))
+        orders = [list(_orders(self.steps[a:b])) for a, b in cuts]
         return tuple(KroneckerTableau(self.start, tuple(chain(*p))) for p in product(*orders))
 
     @property
     def size(self) -> int:
-        runs = (len(list(run)) for _, run in groupby(zip(*self.word)))
+        """prod_c mu_c! / prod_i m_i!, m_i the runs of equal steps inside
+        a frame: the word's runs of equal (step, frame) pairs."""
+        runs = (len(list(run)) for _, run in groupby(zip(self.steps, _layout(self.weight).frames)))
         return math.prod(map(math.factorial, self.weight)) // math.prod(map(math.factorial, runs))
+
+    @property
+    def word(self) -> ReadingWord:
+        """The reading word: one sort of the (step, -frame) pairs."""
+        pairs = sorted(zip(self.steps, map(neg, _layout(self.weight).frames)))
+        return ReadingWord(tuple([st for st, _ in pairs]), tuple([-f for _, f in pairs]))
 
 
 @cache
@@ -168,7 +206,8 @@ def enumerate_sstd(
     paths, masks = _std0_paths(lam, nu, s)
     # Read after the walk: a huge mu ends the walk in RecursionError, a
     # usage error, but its layout would first exhaust memory.
-    interior, cuts, negframes = _layout(mu)
+    layout = _layout(mu)
+    interior, cuts = layout.interior, layout.cuts
     orbits = []
     for path, mask in zip(paths, masks):
         if mask & interior:
@@ -179,9 +218,7 @@ def enumerate_sstd(
             if shape is None:
                 break
         else:
-            pairs = sorted(zip(path, negframes))
-            word = ReadingWord(tuple([st for st, _ in pairs]), tuple([-f for _, f in pairs]))
-            orbits.append(WeightedOrbit(lam, mu, word))
+            orbits.append(WeightedOrbit(lam, mu, path))
     return orbits
 
 

@@ -3,16 +3,22 @@
 Steps carry a total order (move-up < dummy < move-down, refined within
 each kind); the reading word of an orbit sorts the (step, frame) pairs of
 any member by that order, tie-breaking equal steps by weakly decreasing
-frame.  enumerate_sstd builds that word from each orbit's least member,
-so an orbit carries it and ReadingWord lives in orbits.  Counting the
-semistandard orbits with lattice reading word gives the stable Kronecker
-coefficient on the supported families.
+frame.  An orbit holds its least member, builds the word from it when
+asked, and ReadingWord lives in orbits.  is_lattice is the definition of
+a lattice word.  Counting the semistandard orbits with lattice reading
+word gives the stable Kronecker coefficient on the supported families;
+the count builds no word, but compares each frame's steps with the
+previous frame's at the least member (orbits.frame_pairs), which is the
+same test: equal steps come in decreasing frame order, so the j-th f
+follows the j-th f - 1 in the word exactly when its step is larger.
 """
 
 from __future__ import annotations
 
+from operator import gt
+
 from .characters import stable_kronecker_oracle
-from .orbits import ReadingWord, WeightedOrbit, enumerate_sstd
+from .orbits import ReadingWord, WeightedOrbit, enumerate_sstd, frame_pairs
 from .partitions import Partition
 from .tableaux import UnsupportedFamily
 
@@ -33,13 +39,15 @@ def is_lattice(w: ReadingWord) -> bool:
 
 
 def stable_kronecker_copieri(lam: Partition, nu: Partition, mu: Partition) -> int:
-    """The lattice count: semistandard orbits with lattice reading word.
+    """The lattice count: semistandard orbits with lattice reading word,
+    tested by frame_pairs on each least member.
 
     Only defined on the families in tableaux._STD0; raises
     UnsupportedFamily (from enumerate_std0) otherwise.
     """
     orbits = enumerate_sstd(lam, nu, mu.size, mu)
-    return sum(1 for o in orbits if is_lattice(reading_word(o)))
+    above, below = frame_pairs(mu)  # after the walk, which refuses a huge mu first
+    return sum(all(map(gt, above(o.steps), below(o.steps))) for o in orbits)
 
 
 def stable_kronecker(lam: Partition, nu: Partition, mu: Partition) -> tuple[int, str]:

@@ -2,12 +2,13 @@
 
 The "r1·d1·a1" tableau parser, the adjacent-step swap, the
 breadth-first swap closure and the reading word of one member.  The
-library finds each semistandard orbit at its least member and builds
-the members from the reading word (see stablekron.orbits for the
-proof); the closure and reading_word_of here are the definitions those
-orbits and their words are checked against.  The closure is the only
-way to see orbits that are not semistandard, whose members no word
-gives, so it holds them in an orbit type of its own.
+library finds each semistandard orbit at its least member, holds it,
+and builds the members and the reading word from it (see
+stablekron.orbits for the proof); the closure and reading_word_of here
+are the definitions those orbits and their words are checked against.
+The closure is the only way to see orbits that are not semistandard,
+whose members no least member gives, so it holds them in an orbit type
+of its own.
 
 centralizer_order is the definition the character oracle's class sizes
 are checked against, and one_row_closed_form the closed form of the

@@ -122,9 +122,11 @@ def test_orbit_representatives_ascend_and_are_least():
 
 
 def _view(o):
-    """What a library orbit and a closure orbit share.  The library reads
-    size from the word, prod mu_c! / prod m_i!; the closure counts its
-    members."""
+    """What a library orbit and a closure orbit share.  The library holds
+    the least member and builds the rest from its steps: size is prod
+    mu_c! / prod m_i! over the runs of equal steps inside a frame, and the
+    word one sort of its pairs; the closure counts its members and sorts
+    one member's pairs."""
     return o.weight, o.representative, o.members, o.size, o.word
 
 
@@ -301,7 +303,7 @@ def test_unsupported_is_raised_afresh(monkeypatch):
 
 
 def test_word_is_the_reading_word_of_every_member():
-    # the word each orbit carries, built from its least member, against
+    # the word each orbit builds from its least member, against
     # the definition in tests/reference.py at every member
     triples = [
         (lam, nu, nu.size - lam.size)

@@ -1,8 +1,10 @@
+from operator import gt
+
 import pytest
 
 from reference import T, one_row_closed_form, orbit_of, parse_step, reading_word_of
-from stablekron.orbits import enumerate_sstd
-from stablekron.partitions import Partition, parse_partition
+from stablekron.orbits import WeightedOrbit, enumerate_sstd, frame_pairs
+from stablekron.partitions import Partition, contains, parse_partition
 from stablekron.reading import (
     ReadingWord,
     is_lattice,
@@ -10,7 +12,7 @@ from stablekron.reading import (
     stable_kronecker,
     stable_kronecker_copieri,
 )
-from stablekron.characters import partitions_up_to, stable_kronecker_oracle
+from stablekron.characters import partitions_of, partitions_up_to, stable_kronecker_oracle
 from stablekron.tableaux import TripleClass, UnsupportedFamily, classify
 
 
@@ -60,6 +62,67 @@ def test_is_lattice():
     assert is_lattice(ReadingWord((), ()))
     assert not is_lattice(ReadingWord((), (1, 2, 2)))
     assert not is_lattice(ReadingWord((), (2,)))
+
+
+def _maximal_depth(n):
+    """Every maximal-depth triple with |nu| <= n, as (lam, nu, mu)."""
+    for nu in partitions_up_to(n):
+        for lam in partitions_up_to(nu.size):
+            if contains(lam, nu):
+                for mu in map(Partition, partitions_of(nu.size - lam.size)):
+                    yield lam, nu, mu
+
+
+def _frame_test(o):
+    above, below = frame_pairs(o.weight)
+    return all(map(gt, above(o.steps), below(o.steps)))
+
+
+def test_frame_test_is_lattice_of_the_word():
+    # the word-free test on the least member against is_lattice of the
+    # word, on every orbit of the maximal-depth triples with |nu| <= 7
+    # and the one-row triples with rows <= 6 and |mu| <= 5
+    rows = [Partition((a,)) for a in range(7)]
+    triples = [*_maximal_depth(7)]
+    triples += [(lam, nu, mu) for lam in rows for nu in rows for mu in partitions_up_to(5)]
+    seen = []
+    for lam, nu, mu in triples:
+        for o in enumerate_sstd(lam, nu, mu.size, mu):
+            lattice = is_lattice(o.word)
+            assert _frame_test(o) == lattice, (lam, nu, mu, o.steps)
+            seen.append(lattice)
+    assert (len(triples), len(seen), sum(seen)) == (2654, 6409, 1132)
+
+
+def test_copieri_equals_the_word_count_on_the_maximal_depth_sweep():
+    # the count by frames against counting lattice words, on all 4,136
+    # maximal-depth triples with |nu| <= 8
+    triples = total = 0
+    for lam, nu, mu in _maximal_depth(8):
+        words = sum(is_lattice(o.word) for o in enumerate_sstd(lam, nu, mu.size, mu))
+        got = stable_kronecker_copieri(lam, nu, mu)
+        assert got == words, (lam, nu, mu)
+        triples += 1
+        total += got
+    assert (triples, total) == (4136, 1351)
+
+
+def test_count_builds_no_word(monkeypatch):
+    # neither the count nor the enumeration reads an orbit's word, and
+    # the size read from the steps is the number of members
+    def word(self):
+        raise AssertionError("word built")
+
+    monkeypatch.setattr(WeightedOrbit, "word", property(word))
+    orbits = counted = 0
+    for lam, nu, mu in _maximal_depth(6):
+        counted += stable_kronecker_copieri(lam, nu, mu)
+        for o in enumerate_sstd(lam, nu, mu.size, mu):
+            assert o.size == len(o.members), (lam, nu, mu, o.steps)
+            orbits += 1
+    assert orbits > counted > 0
+    with pytest.raises(AssertionError, match="word built"):
+        enumerate_sstd(P("2,1"), P("3,3,2"), 5, P("2,2,1"))[0].word
 
 
 def test_copieri_count_maximal_depth():
