@@ -20,8 +20,8 @@ shape the frame starts on, and the least member of such an orbit is the
 one whose steps ascend inside every frame.  enumerate_sstd therefore
 keeps a Std0 path exactly when its descent mask misses mu's interior
 positions and _after passes for each of its frames: each orbit once, at
-its least member, in Std0's ascending order.  A frame of one step needs
-no _after pass, as its one order is the path's own and the path is legal.
+its least member, in Std0's ascending order.  _after lists no order, and
+a frame of one step, whose one order is the path's own, is not checked.
 
 An orbit is held as (start, weight, steps), steps its least member:
 each frame's steps are a slice of it, ascending, so the representative
@@ -48,12 +48,12 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import cache
+from functools import cache, reduce
 from itertools import accumulate, chain, groupby, pairwise, product
 from operator import itemgetter, neg
 
 from .partitions import Partition
-from .tableaux import KroneckerTableau, apply_step, enumerate_std0
+from .tableaux import KroneckerTableau, apply_step, enumerate_std0, every_order_legal
 
 
 class NotMaximalDepth(ValueError):
@@ -174,20 +174,18 @@ def _std0_paths(lam: Partition, nu: Partition, s: int) -> tuple[tuple, tuple]:
 
 @cache
 def _after(shape: Partition, steps: tuple):
-    """The shape that every order of the ascending steps reaches from
-    shape, or None when some order takes a step that is not legal.  Every
-    order is legal exactly when each distinct first step is legal and
-    every order of the rest is legal after it.  One entry per (shape,
-    multiset) a least member asks about, and per sub-multiset below it."""
-    end = shape
-    for i, st in enumerate(steps):
-        if i and st == steps[i - 1]:
-            continue
-        nxt = apply_step(shape, st)
-        end = None if nxt is None else _after(nxt, steps[:i] + steps[i + 1 :])
-        if end is None:
-            return None
-    return end
+    """The shape every order of the ascending steps reaches from shape,
+    or None when some order takes an illegal step.  Just before x, some
+    order meets shape plus any sub-multiset of the other steps (take those
+    first), and a step (p, q) changes gap i = d_i - d_(i+1) by a fixed
+    Delta_i(p, q) = [q=i] - [q=i+1] - [p=i] + [p=i+1].  So every order is
+    legal exactly when each x = (p, q) passes each gap test where that
+    gap is narrowest: gap_i(shape) + lift + the sum over y in steps - {x}
+    of min(0, Delta_i(y)) >= 1, for i = p with lift 0 and for i = q - 1
+    with lift -[p = q-1] + [p = q]; every_order_legal checks this.  All
+    orders then end on one shape, the ascending order's.  One entry per
+    (shape, multiset) a least member asks about."""
+    return reduce(apply_step, steps, shape) if every_order_legal(shape, steps) else None
 
 
 def enumerate_sstd(

@@ -89,34 +89,6 @@ def pad(lam: Partition, n: int) -> Partition:
     return Partition((first,) + tuple(lam)) if first > 0 else lam
 
 
-def _trusted(parts: tuple) -> Partition:
-    """A Partition from parts the caller has already proven normalized:
-    positive and weakly decreasing.  Skips the validation of __new__."""
-    return tuple.__new__(Partition, parts)
-
-
-def add_box(lam: Partition, i: int):
-    """Partition with one more box in row i (1-indexed), or None if not addable."""
-    if i < 1 or i > len(lam) + 1:
-        return None
-    if i <= len(lam):
-        if i > 1 and lam[i - 2] == lam[i - 1]:
-            return None
-        return _trusted(lam[: i - 1] + (lam[i - 1] + 1,) + lam[i:])
-    return _trusted(lam + (1,))
-
-
-def remove_box(lam: Partition, i: int):
-    """Partition with one less box in row i (1-indexed), or None if not removable."""
-    if i < 1 or i > len(lam):
-        return None
-    if i < len(lam) and lam[i - 1] == lam[i]:
-        return None
-    if lam[i - 1] == 1:  # then i is the last row, and the row goes
-        return _trusted(lam[:-1])
-    return _trusted(lam[: i - 1] + (lam[i - 1] - 1,) + lam[i:])
-
-
 def horizontal_strip(outer: Partition, inner: Partition) -> bool:
     """True iff outer/inner has no two boxes in the same column.
 

@@ -7,7 +7,7 @@ from stablekron import orbits, tableaux
 from stablekron.orbits import NotMaximalDepth, enumerate_sstd, frames, to_classical
 from stablekron.characters import partitions_of
 from stablekron.partitions import Partition, contains, parse_partition
-from stablekron.tableaux import KroneckerTableau, UnsupportedFamily, enumerate_std0
+from stablekron.tableaux import KroneckerTableau, Step, UnsupportedFamily, enumerate_std0
 
 
 def P(text):
@@ -181,23 +181,45 @@ def test_members_are_distinct_orders():
 
 
 def test_after_is_every_order():
-    # _after against trying every distinct order of every multiset of at
-    # most four steps legal at a shape with at most five boxes
-    checked = legal = 0
-    for shape in _upto(5):
-        moves = list(tableaux._moves(shape))
-        for k in range(5):
-            for steps in itertools.combinations_with_replacement(moves, k):
-                paths = [KroneckerTableau(shape, order) for order in set(itertools.permutations(steps))]
-                want = None
-                if all(map(is_path, paths)):
-                    ends = {t.levels()[-1] for t in paths}
-                    assert len(ends) == 1, (shape, steps)
-                    (want,) = ends
-                    legal += 1
-                assert orbits._after(shape, steps) == want, (shape, steps)
-                checked += 1
-    assert (checked, legal) == (13162, 3798)
+    # _after against trying every distinct order: of every multiset of at
+    # most four steps legal at a shape with at most five boxes, and of at
+    # most three steps with rows <= len(shape) + 2 at a shape with at most
+    # four boxes, legal there or not.  In the second domain some multisets
+    # hold a step not legal at the shape, yet some order that takes it
+    # later is a path ("later").
+    def any_steps(shape):
+        return sorted(Step(p, q) for p, q in itertools.product(range(len(shape) + 3), repeat=2))
+
+    domains = [(5, 4, tableaux._moves, (13162, 3798, 0)), (4, 3, any_steps, (57578, 836, 1693))]
+    for size, most, candidates, counts in domains:
+        checked = legal = later = 0
+        for shape in _upto(size):
+            for k in range(most + 1):
+                for steps in itertools.combinations_with_replacement(candidates(shape), k):
+                    paths = [KroneckerTableau(shape, order) for order in set(itertools.permutations(steps))]
+                    ok = list(map(is_path, paths))
+                    want = None
+                    if all(ok):
+                        ends = {t.levels()[-1] for t in paths}
+                        assert len(ends) == 1, (shape, steps)
+                        (want,) = ends
+                    assert orbits._after(shape, steps) == want, (shape, steps)
+                    checked += 1
+                    legal += want is not None
+                    later += any(ok) and not set(steps) <= set(tableaux._moves(shape))
+        assert (checked, legal, later) == counts
+
+
+def test_after_needs_no_recursion():
+    # a frame of 5000 steps is one gap test and a chain of lookups, at any
+    # recursion limit
+    orbits._after.cache_clear()
+    a1, a2, r1, r2 = Step.add(1), Step.add(2), Step.remove(1), Step.remove(2)
+    assert orbits._after(Partition(), (a1,) * 5000) == Partition((5000,))
+    assert orbits._after(P("3"), (r1,) * 4) is None
+    assert orbits._after(P("6"), (r1,) * 3 + (a1,) * 3) == P("6")
+    # a2 then r2 is a path from (1), r2 first is not
+    assert orbits._after(P("1"), (r2, a2)) is None
 
 
 def _orbits(lam, nu, mu):

@@ -5,14 +5,12 @@ from stablekron.partitions import (
     FirstRowTooShort,
     NotContained,
     Partition,
-    add_box,
     contains,
     format_partition,
     horizontal_strip,
     intersect,
     pad,
     parse_partition,
-    remove_box,
 )
 
 
@@ -90,56 +88,6 @@ def test_pad_depth_roundtrip():
         padded = pad(lam, n)
         assert padded.size == n
         assert Partition(padded[1:]) == lam  # depth is |lam|
-
-
-def test_add_box():
-    assert add_box(P("2,1"), 1) == P("3,1")
-    assert add_box(P("2,1"), 2) == P("2,2")
-    assert add_box(P("2,1"), 3) == P("2,1,1")
-    assert add_box(P(""), 1) == P("1")
-
-
-def test_add_box_invalid():
-    assert add_box(P("1,1"), 2) is None  # row 2 would exceed row 1
-    assert add_box(P("2,1"), 4) is None  # skips a row
-
-
-def test_remove_box():
-    assert remove_box(P("2,1"), 1) == P("1,1")
-    assert remove_box(P("2,2"), 1) is None
-    assert remove_box(P("2,1"), 2) == P("2")
-    assert remove_box(P("1"), 1) == P("")  # single-box row disappears
-
-
-def test_add_remove_inverse():
-    for lam in all_partitions(6):
-        for i in range(1, len(lam) + 2):
-            grown = add_box(lam, i)
-            if grown is not None:
-                assert remove_box(grown, i) == lam
-        for i in range(1, len(lam) + 1):
-            shrunk = remove_box(lam, i)
-            if shrunk is not None:
-                assert add_box(shrunk, i) == lam
-
-
-def test_add_and_remove_box_equal_validated_construction():
-    # add_box/remove_box skip Partition's validation; each result must be
-    # exactly what the validating constructor gives, or None where that
-    # constructor refuses the changed parts
-    for lam in all_partitions(8):
-        for i in range(1, len(lam) + 3):
-            for op, delta in ((add_box, 1), (remove_box, -1)):
-                parts = list(lam) + [0, 0]
-                parts[i - 1] += delta
-                try:
-                    want = Partition(parts)
-                except ValueError:
-                    want = None
-                got = op(lam, i)
-                assert got == want, (op.__name__, lam, i)
-                if want is not None:
-                    assert type(got) is Partition and repr(got) == repr(want)
 
 
 def test_intersect_is_greatest_lower_bound():

@@ -105,14 +105,18 @@ def _reference_step(lam, p, q):
 
 def test_moves_is_the_one_step_definition():
     # apply_step agrees with Partition's own validation on every step that
-    # could touch a row, and _moves lists exactly the legal steps in order
+    # could touch a row, and _moves lists exactly the legal steps in order.
+    # _moves builds its shapes unvalidated, so each must be the very
+    # Partition the validating constructor gives.
     shapes = partitions_up_to(6) + [Partition((1,) * 40), Partition((40,))]
     for lam in shapes:
         legal = []
         for p, q in itertools.product(range(len(lam) + 3), repeat=2):
             want = _reference_step(lam, p, q)
-            assert apply_step(lam, Step(p, q)) == want, (lam, p, q)
+            got = apply_step(lam, Step(p, q))
+            assert got == want, (lam, p, q)
             if want is not None:
+                assert type(got) is Partition and repr(got) == repr(want), (lam, p, q)
                 legal.append(Step(p, q))
         assert list(tableaux._moves(lam)) == sorted(legal, key=lambda st: st.sort_key), lam
 
@@ -223,15 +227,14 @@ def test_std0_maximal_depth_is_pure_add():
 
 
 @pytest.fixture
-def cold_moves(monkeypatch):
-    """monkeypatch, with the process-wide move, option and Std0 caches
-    emptied before the test patches the builder and again before the
-    patch is undone, so the test reaches the builder and leaves no
-    patched entry behind."""
+def cold_moves():
+    """The process-wide move, option and Std0 caches, emptied before the
+    test, so that _moves.cache_info() counts the shapes whose moves the
+    test builds, and again after it."""
     tableaux._moves.cache_clear()
     tableaux._options.cache_clear()
     orbits._std0_paths.cache_clear()
-    yield monkeypatch
+    yield
     tableaux._moves.cache_clear()
     tableaux._options.cache_clear()
     orbits._std0_paths.cache_clear()
@@ -240,10 +243,11 @@ def cold_moves(monkeypatch):
 def test_std0_maximal_depth_not_contained(cold_moves):
     assert enumerate_std0(P("2,2"), P("3,1"), 0) == []
     # a start outside nu is answered without building a single level
-    built = []
-    cold_moves.setattr(tableaux, "add_box", lambda *args: built.append(args))
     assert enumerate_std0(P("1,1,1,1"), P("12,12,12"), 32) == []
-    assert built == []
+    assert tableaux._moves.cache_info().misses == 0
+    # while a start inside nu builds the moves of every shape it walks
+    assert len(enumerate_std0(P("1"), P("2,1"), 2)) == 2
+    assert tableaux._moves.cache_info().misses == 3
 
 
 def test_std0_one_row_budget():
@@ -304,27 +308,6 @@ def test_std0_is_closed_under_valid_swaps():
                     swaps += 1
     assert families == set(tableaux._STD0)
     assert swaps >= 7000
-
-
-def test_walker_removes_only_from_removable_rows(cold_moves):
-    # _moves reads removal legality off the rows before it builds a
-    # level, so every removal it asks for succeeds
-    real = tableaux.remove_box
-    removed = 0
-
-    def remove_box(lam, i):
-        nonlocal removed
-        removed += 1
-        smaller = real(lam, i)
-        assert smaller is not None, (lam, i)
-        return smaller
-
-    cold_moves.setattr(tableaux, "remove_box", remove_box)
-    for lam, nu, s in [("2,1", "3,3,2", 5), ("4", "4", 3), ("2,2", "3,1", 3)]:
-        assert enumerate_std(P(lam), P(nu), s)
-    assert enumerate_std0(P("4"), P("4"), 3)
-    # the caches were cold, so the walks built their levels here
-    assert removed > 0
 
 
 class _FirstPath(Exception):
