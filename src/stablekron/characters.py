@@ -18,9 +18,10 @@ reads a suffix of it, and a larger one computes only the missing blocks
 of first parts and puts them in front.  The block for first part k >= 2
 is the signed sum of the columns (at kmax = k) of the shapes left by each
 k-rim hook; the block for k = 1 is the one class (1^n), where chi is f^lam
-in closed form (_standard).  The class sizes n!/z_rho come from the same
-suffix recursion, so a warm coefficient is one pass over a size table and
-three columns of p(n) entries.
+in closed form (_standard).  Block lengths are one integer per (n, k)
+(_count); the class sizes n!/z_rho (_sizes) are built, from tables of
+smaller classes, only for an n at which a coefficient is evaluated.  So
+a warm coefficient is one pass over a size table and three columns.
 
 character(lam, rho) stays a one-class recursion with its own memo keyed
 on (mask, remaining cycles), since a column costs every class of n:
@@ -117,27 +118,25 @@ def character(lam: Partition, rho) -> int:
 
 
 @functools.cache
-def _suffixes(n: int, kmax: int) -> tuple[tuple[int, int, int], ...]:
-    """(z_rho, rho_1, multiplicity of rho_1) for each rho of n with parts
-    <= kmax, in partitions_of order: z_rho = prod_i i^{m_i} m_i!, grown
-    one first part at a time."""
+def _count(n: int, kmax: int) -> int:
+    """Classes of S_n with parts <= kmax: p_k(n) = p_k(n - k) + p_{k-1}(n)."""
     if kmax > n:
-        return _suffixes(n, n)
-    if not n:
-        return ((1, 0, 0),)
-    out = []
-    for k in range(kmax, 0, -1):
-        for z, first, m in _suffixes(n - k, k):
-            m = m + 1 if first == k else 1
-            out.append((z * k * m, k, m))
-    return tuple(out)
+        return _count(n, n)
+    return _count(n - kmax, kmax) + _count(n, kmax - 1) if kmax else int(not n)
 
 
 @functools.cache
-def _sizes(n: int) -> tuple[int, ...]:
-    """n!/z_rho for each class rho of S_n, in partitions_of(n) order."""
-    nfact = math.factorial(n)
-    return tuple(nfact // z for z, _, _ in _suffixes(n, n))
+def _sizes(n: int, kmax: int) -> tuple[int, ...]:
+    """n!/z_rho for each class rho of S_n with parts <= kmax, in
+    partitions_of order: rho = k^m sigma, with sigma's parts < k, has
+    perm(n, km) / (k^m m!) times the size of sigma in S_{n - km}."""
+    kmax = min(kmax, n)
+    out = []
+    for k in range(kmax, 1, -1):
+        for m in range(n // k, 0, -1):
+            scale = math.perm(n, k * m) // (k**m * math.factorial(m))
+            out += [scale * size for size in _sizes(n - k * m, k - 1)]
+    return (*out, 1) if kmax or not n else ()  # (1^n) last; kmax = 0 < n: none
 
 
 def _standard(mask: int, n: int) -> int:
@@ -168,11 +167,11 @@ def _column(mask: int, n: int, kmax: int) -> tuple[int, ...]:
         entry = _COLUMNS[mask] = (1, (_standard(mask, n),)) if n else (0, (1,))
     top, column = entry
     if kmax < top:
-        return column[len(column) - len(_suffixes(n, kmax)):]
+        return column[len(column) - _count(n, kmax):]
     if kmax > top:
         head = []
         for k in range(kmax, top, -1):
-            block = (0,) * len(_suffixes(n - k, k))
+            block = (0,) * _count(n - k, k)
             for moved, odd in _hooks(mask, k):
                 block = tuple(map(sub if odd else add, block, _column(moved, n - k, k)))
             head += block
@@ -184,7 +183,7 @@ def _column(mask: int, n: int, kmax: int) -> tuple[int, ...]:
 def _kronecker(n: int, *masks: int) -> int:
     """g of the three shapes of size n given by their bead masks."""
     a, b, c = (_column(mask, n, n) for mask in masks)
-    total = sum(map(mul, map(mul, _sizes(n), a), map(mul, b, c)))
+    total = sum(map(mul, map(mul, _sizes(n, n), a), map(mul, b, c)))
     value, rest = divmod(total, math.factorial(n))
     if rest or value < 0:
         raise ArithmeticError(f"character sum {total} is not a multiple >= 0 of {n}!")

@@ -50,13 +50,24 @@ def test_centralizer_order():
         assert sum(
             math.factorial(n) // centralizer_order(rho) for rho in partitions_of(n)
         ) == math.factorial(n)
-    # the suffix recursion carries (z, first part, its multiplicity)
+    # the class tables hold n!/z_rho and the number of classes, at every kmax
     for n in range(13):
-        for kmax in range(n + 1):
-            assert characters._suffixes(n, kmax) == tuple(
-                (centralizer_order(rho), rho[0] if rho else 0, rho.count(rho[0]) if rho else 0)
-                for rho in partitions_of(n, kmax)
-            )
+        for kmax in range(n + 2):
+            rhos = list(partitions_of(n, kmax))
+            sizes = characters._sizes(n, kmax)
+            assert len(sizes) == characters._count(n, kmax) == len(rhos)
+            for rho, size in zip(rhos, sizes):
+                assert size * centralizer_order(rho) == math.factorial(n), (rho, kmax)
+
+
+def test_class_count_is_the_partition_count():
+    for n in range(31):
+        for k in range(n + 3):
+            assert characters._count(n, k) == sum(1 for _ in partitions_of(n, k)), (n, k)
+    assert characters._count(0, 0) == 1
+    assert characters._count(3, 0) == 0
+    assert characters._sizes(0, 0) == (1,)
+    assert characters._sizes(3, 0) == ()
 
 
 def test_character_trivial_and_sign():
@@ -190,7 +201,7 @@ def test_padded_kronecker_is_constant_from_n_two_to_n_star():
 def test_class_table():
     for n in range(13):
         rhos = list(partitions_of(n))
-        sizes = characters._sizes(n)
+        sizes = characters._sizes(n, n)
         assert len(sizes) == len(rhos)
         for rho, size in zip(rhos, sizes):
             assert size * centralizer_order(rho) == math.factorial(n)
@@ -235,7 +246,7 @@ def test_columns_hold_one_entry_per_shape(monkeypatch):
     for mask, (top, column) in columns.items():
         n = sum(characters._shape(mask))
         assert characters._mask(characters._shape(mask)) == mask
-        assert len(column) == len(characters._suffixes(n, top))
+        assert len(column) == characters._count(n, top)
 
 
 def test_padded_kronecker_pads_the_masks():
