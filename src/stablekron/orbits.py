@@ -20,8 +20,10 @@ shape the frame starts on, and the least member of such an orbit is the
 one whose steps ascend inside every frame.  enumerate_sstd therefore
 keeps a Std0 path exactly when its descent mask misses mu's interior
 positions and _after passes for each of its frames: each orbit once, at
-its least member, in Std0's ascending order.  _after lists no order, and
-a frame of one step, whose one order is the path's own, is not checked.
+its least member, in Std0's ascending order.  _after is
+tableaux.frame_end under a cache, the one closed form that decides both
+a single step and a frame, and lists no order; a frame of one step,
+whose one order is the path's own, is not checked.
 
 An orbit is held as (start, weight, steps), steps its least member:
 each frame's steps are a slice of it, ascending, so the representative
@@ -48,12 +50,12 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import cache, reduce
+from functools import cache
 from itertools import accumulate, chain, groupby, pairwise, product
 from operator import itemgetter, neg
 
 from .partitions import Partition
-from .tableaux import KroneckerTableau, apply_step, enumerate_std0, every_order_legal
+from .tableaux import KroneckerTableau, enumerate_std0, frame_end
 
 
 class NotMaximalDepth(ValueError):
@@ -172,20 +174,8 @@ def _std0_paths(lam: Partition, nu: Partition, s: int) -> tuple[tuple, tuple]:
     return paths, masks
 
 
-@cache
-def _after(shape: Partition, steps: tuple):
-    """The shape every order of the ascending steps reaches from shape,
-    or None when some order takes an illegal step.  Just before x, some
-    order meets shape plus any sub-multiset of the other steps (take those
-    first), and a step (p, q) changes gap i = d_i - d_(i+1) by a fixed
-    Delta_i(p, q) = [q=i] - [q=i+1] - [p=i] + [p=i+1].  So every order is
-    legal exactly when each x = (p, q) passes each gap test where that
-    gap is narrowest: gap_i(shape) + lift + the sum over y in steps - {x}
-    of min(0, Delta_i(y)) >= 1, for i = p with lift 0 and for i = q - 1
-    with lift -[p = q-1] + [p = q]; every_order_legal checks this.  All
-    orders then end on one shape, the ascending order's.  One entry per
-    (shape, multiset) a least member asks about."""
-    return reduce(apply_step, steps, shape) if every_order_legal(shape, steps) else None
+# One entry per (shape, frame) a least member asks about.
+_after = cache(frame_end)
 
 
 def enumerate_sstd(

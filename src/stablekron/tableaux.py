@@ -4,15 +4,17 @@ A path of length s from lam to nu is a sequence of integral steps, each
 removing a box (or nothing) and then adding a box (or nothing).  This
 module enumerates the full path sets, the quotient subsets of the
 families in the _STD0 table, and the classification of triples.  It
-alone decides step legality, by two tests on the gaps d_i - d_(i+1)
-between rows: the cached _moves makes them at each shape,
-every_order_legal at the worst shape any order of a multiset meets.  The
-cached _distance says how far nu is from a shape.  The walker reads both
-through _options, one cached table per (shape, nu, step set) of the
-moves it may take and their distances to nu, so its inner loop is one
-reach comparison.  Std and Std0 are walked anew on every call;
-orbits._std0_paths holds Std0 once per (lam, nu, s) for every weight of
-size s.
+alone decides step legality, in one closed form: frame_end gives the
+shape every order of a multiset of steps reaches, or None, from two
+tests on the gaps d_i - d_(i+1) between rows at the worst shape any
+order meets.  A single step is a frame of one, so the cached _moves is
+frame_end of each step at a shape, and orbits._after is frame_end
+cached.  The cached _distance says how far nu is from a shape.  The
+walker reads both through _options, one cached table per (shape, nu,
+step set) of the moves it may take and their distances to nu, so its
+inner loop is one reach comparison.  Std and Std0 are walked anew on
+every call; orbits._std0_paths holds Std0 once per (lam, nu, s) for
+every weight of size s.
 """
 
 from __future__ import annotations
@@ -31,10 +33,11 @@ class UnsupportedFamily(ValueError):
 
 class Step(tuple):
     """One integral step: remove a box in row ``remove_row``, add one in
-    row ``add_row``.  Row 0 means no change at that half-level; the gap
-    tests in _moves decide whether both halves give partitions.  Held as
-    the flat tuple (kind, a, b, remove_row, add_row) of ints, whose
-    first three make the sort_key, so tuple order is the step order:
+    row ``add_row``.  Row 0 means no change at that half-level;
+    frame_end, the one closed form that decides a single step and a frame
+    alike, says whether both halves give partitions.  Held as the flat
+    tuple (kind, a, b, remove_row, add_row) of ints, whose first three
+    make the sort_key, so tuple order is the step order:
     move-up < dummy < move-down, refined within each kind; no two steps
     share a sort_key, so it alone decides every comparison, and no
     comparison or hash recurses into a nested tuple."""
@@ -81,62 +84,63 @@ class Step(tuple):
         return f"m({p},{q})"
 
 
+def frame_end(shape: Partition, steps):
+    """The shape every order of the steps reaches from shape, or None when
+    some order takes an illegal step: the one legality test, of a single
+    step (_moves) and of a frame (orbits._after).  Step (p, q) is legal
+    exactly when gap p = d_p - d_(p+1) >= 1 before the removal (p > 0)
+    and gap q - 1 >= 1 after it (q > 1), both read off the rows padded
+    with a 0.  Just before x, some order meets shape plus any
+    sub-multiset of the other steps (take those first), and a step
+    (p, q) changes gap i by a fixed Delta_i(p, q) = [q=i] - [q=i+1] -
+    [p=i] + [p=i+1].  So every order is legal exactly when each x passes
+    each test where that gap is narrowest, with every other step's
+    narrowing in.  A non-dummy step narrows gap i by taking a box from row
+    i or giving one to row i + 1, so with every narrowing in, gap i is
+    lo_i - hi_(i+1): lo is each row less its removals, hi each row plus
+    its additions.  With x's own narrowing given back the tests read
+    lo_(q-1) >= hi_q and lo_p - hi_(p+1) >= [p = q] - [q = p + 1].  No
+    order fills a row past len(shape) + len(steps), so a step at row
+    n = len(shape) + len(steps) + 1 or beyond fails.  Every order moves
+    the same boxes, so all end on lo plus the additions, each row less its
+    removals plus its additions: a partition by the tests, built without
+    Partition's validation."""
+    n = len(shape) + len(steps) + 1
+    lo = [0, *shape, *[0] * (n - len(shape))]  # slot 0: half-steps that change nothing
+    hi = lo.copy()
+    for _, _, _, p, q in steps:
+        if p >= n or q >= n:
+            return None
+        if p != q:
+            lo[p] -= 1
+            hi[q] += 1
+    for _, _, _, p, q in steps:
+        if q > 1 and lo[q - 1] < hi[q]:
+            return None
+        if p and lo[p] - hi[p + 1] < (p == q) - (q == p + 1):
+            return None
+    for _, _, _, p, q in steps:  # lo becomes the end shape
+        if p != q:
+            lo[q] += 1
+    return tuple.__new__(Partition, filter(None, lo[1:]))
+
+
 def apply_step(lam: Partition, st: Step):
     """The shape one step leads to from lam, or None when the step is not
-    legal there: a lookup in _moves, which makes the gap tests."""
+    legal there: a lookup in _moves."""
     return _moves(lam).get(st)
 
 
 @cache
 def _moves(cur: Partition) -> dict[Step, Partition]:
     """Every legal step from cur mapped to the shape it leads to, in
-    ascending step order; callers share it and must not mutate it.  Step
-    (p, q) is legal exactly when gap p = d_p - d_(p+1) >= 1 before the
-    removal (p > 0) and gap q - 1 >= 1 after it (q > 1), both read off
-    the rows padded with a 0, so every shape built is a partition and
-    skips Partition's validation.  One entry per shape visited, so the
-    cache stays as small as the walks that fill it."""
-    moves = {}
-    rows = [0, *cur, 0]  # slot 0 takes the half-steps that change nothing
-    for p in range(len(cur) + 1):
-        if p and rows[p] == rows[p + 1]:
-            continue
-        mid = rows.copy()
-        mid[p] -= 1
-        for q in range(len(cur) + 2):
-            if q > 1 and mid[q - 1] == mid[q]:
-                continue
-            nxt = mid.copy()
-            nxt[q] += 1
-            moves[Step(p, q)] = tuple.__new__(Partition, filter(None, nxt[1:]))
-    return dict(sorted(moves.items()))
-
-
-def every_order_legal(shape: Partition, steps) -> bool:
-    """Whether every order of the steps is a path from shape, listing no
-    order: by orbits._after's proof, whether each x = (p, q) passes the
-    gap tests of _moves where the other steps narrow its gaps most.  A
-    non-dummy step narrows gap i by taking a box from row i or giving one
-    to row i + 1, so with every narrowing in, gap i is lo_i - hi_(i+1): lo is
-    each row less its removals, hi each row plus its additions.  With x's
-    own narrowing given back the tests read lo_(q-1) >= hi_q and lo_p -
-    hi_(p+1) >= [p = q] - [q = p + 1].  No order fills a row past
-    len(shape) + len(steps) - 1, so a step at row n or beyond fails."""
-    n = len(shape) + len(steps) + 1
-    lo = [0, *shape, *[0] * (n - len(shape))]  # slot 0 as in _moves
-    hi = lo.copy()
-    for _, _, _, p, q in steps:
-        if p >= n or q >= n:
-            return False
-        if p != q:
-            lo[p] -= 1
-            hi[q] += 1
-    for _, _, _, p, q in steps:
-        if q > 1 and lo[q - 1] < hi[q]:
-            return False
-        if p and lo[p] - hi[p + 1] < (p == q) - (q == p + 1):
-            return False
-    return True
+    ascending step order; callers share it and must not mutate it.  A
+    step is legal when frame_end of it alone is a shape; none removes
+    from a row past len(cur) or adds to one past len(cur) + 1.  One entry
+    per shape visited, so the cache stays as small as the walks that fill
+    it."""
+    steps = sorted(Step(p, q) for p in range(len(cur) + 1) for q in range(len(cur) + 2))
+    return {st: nxt for st in steps if (nxt := frame_end(cur, (st,))) is not None}
 
 
 @cache

@@ -203,7 +203,11 @@ def test_after_is_every_order():
                         ends = {t.levels()[-1] for t in paths}
                         assert len(ends) == 1, (shape, steps)
                         (want,) = ends
-                    assert orbits._after(shape, steps) == want, (shape, steps)
+                    got = orbits._after(shape, steps)
+                    assert got == want, (shape, steps)
+                    if want is not None:
+                        # frame ends are built unvalidated: each must be the very Partition
+                        assert type(got) is Partition and repr(got) == repr(want), (shape, steps)
                     checked += 1
                     legal += want is not None
                     later += any(ok) and not set(steps) <= set(tableaux._moves(shape))
@@ -211,8 +215,8 @@ def test_after_is_every_order():
 
 
 def test_after_needs_no_recursion():
-    # a frame of 5000 steps is one gap test and a chain of lookups, at any
-    # recursion limit
+    # a frame of 5000 steps is one pass of gap tests and one closed-form
+    # end shape, at any recursion limit
     orbits._after.cache_clear()
     a1, a2, r1, r2 = Step.add(1), Step.add(2), Step.remove(1), Step.remove(2)
     assert orbits._after(Partition(), (a1,) * 5000) == Partition((5000,))
