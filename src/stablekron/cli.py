@@ -19,7 +19,7 @@ import sys
 from .characters import (
     character, kostka, kronecker, lr_coefficient, stable_kronecker_oracle, standard_count
 )
-from .orbits import NotMaximalDepth, enumerate_sstd, frames, to_classical
+from .orbits import enumerate_sstd, frames, to_classical
 from .partitions import Partition, parse_partition
 from .reading import is_lattice, reading_word, stable_kronecker
 from .tableaux import KroneckerTableau, TripleClass, classify, enumerate_std, enumerate_std0
@@ -67,10 +67,8 @@ def _orbits_json(orbits) -> str:
             "size": orbit.size,
             "semistandard": True,
         }
-        try:
-            obj["classical"] = to_classical(orbit)
-        except NotMaximalDepth:
-            pass
+        if (classical := to_classical(orbit)) is not None:
+            obj["classical"] = classical
         word = reading_word(orbit)
         steps = [str(st) for st in word.steps]
         obj["reading"] = {"steps": steps, "frames": [*word.frames], "lattice": is_lattice(word)}

@@ -58,10 +58,6 @@ from .partitions import Partition
 from .tableaux import KroneckerTableau, enumerate_std0, frame_end
 
 
-class NotMaximalDepth(ValueError):
-    """Classical fillings only exist for pure-add (maximal-depth) orbits."""
-
-
 def frames(mu: Partition) -> tuple[int, ...]:
     """The frame number of each step position 1..|mu|: frame c holds mu_c
     positions, so (2,2,1) gives (1,1,2,2,3)."""
@@ -210,25 +206,21 @@ def enumerate_sstd(
     return orbits
 
 
-def to_classical(o: WeightedOrbit) -> list[list]:
-    """The skew filling with frame numbers, for pure-add orbits.
+def to_classical(o: WeightedOrbit) -> list[list] | None:
+    """The skew filling with frame numbers of a pure-add orbit, or None
+    when some step removes a box or is d0.
 
     Row i of the result has one entry per column of the end shape: None on
     the start-shape cells, the frame number of the step that added the box
-    elsewhere.
+    elsewhere.  Read off the representative's steps: a box always lands at
+    the end of its row, and a step to the row below the last opens it.
     """
-    rep = o.representative
-    if any(st.remove_row or not st.add_row for st in rep.steps):
-        raise NotMaximalDepth("orbit is not a pure-add (maximal-depth) orbit")
-    lam = rep.start
-    levels = rep.levels()
-    nu = levels[-1]
-    rows = [
-        [None] * lam.row(i) + [0] * (nu.row(i) - lam.row(i))
-        for i in range(1, len(nu) + 1)
-    ]
-    for st, level, frame in zip(rep.steps, levels[1:], frames(o.weight)):
-        row = st.add_row
-        col = level.row(row)  # the box just added is rightmost in its row
-        rows[row - 1][col - 1] = frame
+    start, steps = o.representative
+    rows = [[None] * part for part in start]
+    for st, frame in zip(steps, frames(o.weight)):
+        if st.remove_row or not st.add_row:
+            return None
+        if st.add_row > len(rows):
+            rows.append([])
+        rows[st.add_row - 1].append(frame)
     return rows

@@ -48,8 +48,9 @@ class Step(tuple):
         p, q = remove_row, add_row
         if p < 0 or q < 0:
             raise ValueError("row indices must be >= 0")
-        key = (0, q, -p) if p > q else (1, -p, 0) if p == q else (2, -p, q)
-        return super().__new__(cls, (*key, p, q))
+        return tuple.__new__(
+            cls, (0, q, -p, p, q) if p > q else (1, -p, 0, p, q) if p == q else (2, -p, q, p, q)
+        )
 
     def __getnewargs__(self):
         return self[3:]

@@ -10,10 +10,13 @@ The closure is the only way to see orbits that are not semistandard,
 whose members no least member gives, so it holds them in an orbit type
 of its own.
 
-centralizer_order is the definition the character oracle's class sizes
-are checked against, and one_row_closed_form the closed form of the
-stable Kronecker coefficient on a one-row pair, which uses no library
-code, that both engines are checked against.
+classical_by_replay finds a pure-add orbit's classical filling by
+replaying its representative level by level, the definition that
+orbits.to_classical, which reads the filling off the steps, is checked
+against.  centralizer_order is the definition the character oracle's
+class sizes are checked against, and one_row_closed_form the closed form
+of the stable Kronecker coefficient on a one-row pair, which uses no
+library code, that both engines are checked against.
 """
 
 from __future__ import annotations
@@ -141,6 +144,27 @@ def enumerate_orbits(
             seen.update(orb.members)
             orbits.append((orb, semistandard))
     return orbits
+
+
+def classical_by_replay(o) -> list[list] | None:
+    """The skew filling with frame numbers of a pure-add orbit, found by
+    replaying its representative through its levels: each box goes to the
+    column its row has reached at the level after its step.  None when some
+    step removes a box or is d0."""
+    rep = o.representative
+    if any(st.remove_row or not st.add_row for st in rep.steps):
+        return None
+    lam = rep.start
+    levels = rep.levels()
+    nu = levels[-1]
+    rows = [
+        [None] * lam.row(i) + [0] * (nu.row(i) - lam.row(i))
+        for i in range(1, len(nu) + 1)
+    ]
+    for st, level, frame in zip(rep.steps, levels[1:], frames(o.weight)):
+        row = st.add_row
+        rows[row - 1][level.row(row) - 1] = frame
+    return rows
 
 
 def centralizer_order(rho) -> int:

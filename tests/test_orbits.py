@@ -2,9 +2,11 @@ import itertools
 
 import pytest
 
-from reference import T, enumerate_orbits, is_path, orbit_of, reading_word_of, swap
+from reference import (
+    T, classical_by_replay, enumerate_orbits, is_path, orbit_of, reading_word_of, swap
+)
 from stablekron import orbits, tableaux
-from stablekron.orbits import NotMaximalDepth, enumerate_sstd, frames, to_classical
+from stablekron.orbits import enumerate_sstd, frames, to_classical
 from stablekron.characters import partitions_of
 from stablekron.partitions import Partition, contains, parse_partition
 from stablekron.tableaux import KroneckerTableau, Step, UnsupportedFamily, enumerate_std0
@@ -369,5 +371,31 @@ def test_to_classical():
 
 def test_to_classical_rejects_one_row():
     orbit, _ = orbit_of(T("4", "r1·d1·a1"), P("2,1"))
-    with pytest.raises(NotMaximalDepth):
-        to_classical(orbit)
+    assert to_classical(orbit) is None
+
+
+def test_to_classical_is_the_replay():
+    # the filling read off the steps, against the replay of the
+    # representative's levels in tests/reference.py: every maximal-depth
+    # triple with |nu| <= 7, and every one-row triple with rows <= 5 and
+    # |mu| <= 4, whose orbits are pure-add only where |nu| = |lam| + |mu|
+    maximal = [
+        (lam, nu, mu)
+        for nu in _upto(7)
+        for lam in _upto(nu.size)
+        if contains(lam, nu)
+        for mu in map(Partition, partitions_of(nu.size - lam.size))
+    ]
+    rows = [Partition((a,)) for a in range(6)]
+    one_row = [(lam, nu, mu) for lam in rows for nu in rows for mu in _upto(4)]
+    counts = []
+    for triples in (maximal, one_row):
+        filled = empty = 0
+        for lam, nu, mu in triples:
+            for o in enumerate_sstd(lam, nu, mu.size, mu):
+                got = to_classical(o)
+                assert got == classical_by_replay(o), (lam, nu, mu, o)
+                filled += got is not None
+                empty += got is None
+        counts.append((filled, empty))
+    assert counts == [(3181, 0), (38, 802)]

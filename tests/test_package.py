@@ -134,12 +134,19 @@ def test_closed_pipe_ends_silently():
     assert err == ""
 
 
-# bench/ reads the on-disk character cache; ROADMAP direction 1 deletes
-# these with it.
+# Defs that no library code reaches but bench/ reads.  The cli workload's
+# cached runs read the on-disk character cache (save_character_cache,
+# load_character_cache, and _shape under them); ROADMAP direction 1a
+# deletes these with it.  bench/tracing.py's Std0 replay reads
+# KroneckerTableau.levels, and apply_step under it, as do
+# tests/reference.py's is_path, swap and classical_by_replay; direction
+# 1b moves them to tests/reference.py once the replay metrics go.
 UNREACHED_FOR_BENCH = {
     "characters.save_character_cache",
     "characters.load_character_cache",
     "characters._shape",
+    "tableaux.KroneckerTableau.levels",
+    "tableaux.apply_step",
 }
 
 
