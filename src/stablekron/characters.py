@@ -153,6 +153,8 @@ def _standard(mask: int, n: int) -> int:
 
 # Character columns, keyed on the bead mask: (largest kmax so far, column).
 _COLUMNS: dict[int, tuple[int, tuple[int, ...]]] = {}
+# No coefficient past n = 135: p(136) > 10^10 classes, over 3 TB of columns.
+_MAX_N = 135
 
 
 def _column(mask: int, n: int, kmax: int) -> tuple[int, ...]:
@@ -182,6 +184,8 @@ def _column(mask: int, n: int, kmax: int) -> tuple[int, ...]:
 
 def _kronecker(n: int, *masks: int) -> int:
     """g of the three shapes of size n given by their bead masks."""
+    if n > _MAX_N:
+        raise ValueError(f"cannot evaluate at n = {n}: S_n has over 10^10 classes for n > {_MAX_N}")
     a, b, c = (_column(mask, n, n) for mask in masks)
     total = sum(map(mul, map(mul, _sizes(n, n), a), map(mul, b, c)))
     value, rest = divmod(total, math.factorial(n))

@@ -12,10 +12,6 @@ class FirstRowTooShort(ValueError):
     """Padding to n would not produce a partition (n - |lam| < lam_1)."""
 
 
-class NotContained(ValueError):
-    """A skew operation was asked for with inner not contained in outer."""
-
-
 class Partition(tuple):
     """A weakly decreasing sequence of positive integers.
 
@@ -74,11 +70,6 @@ def contains(inner: Partition, outer: Partition) -> bool:
     )
 
 
-def intersect(a: Partition, b: Partition) -> Partition:
-    """Rowwise minimum: the largest partition contained in both."""
-    return Partition(min(x, y) for x, y in zip(a, b))
-
-
 def pad(lam: Partition, n: int) -> Partition:
     """Prepend a first row so the total is n: (n - |lam|, lam_1, lam_2, ...)."""
     first = n - lam.size
@@ -87,13 +78,3 @@ def pad(lam: Partition, n: int) -> Partition:
     if first < 0:
         raise FirstRowTooShort(f"cannot pad {lam!r} to {n}: {n} < {lam.size}")
     return Partition((first,) + tuple(lam)) if first > 0 else lam
-
-
-def horizontal_strip(outer: Partition, inner: Partition) -> bool:
-    """True iff outer/inner has no two boxes in the same column.
-
-    Requires inner contained in outer.
-    """
-    if not contains(inner, outer):
-        raise NotContained(f"{inner!r} not contained in {outer!r}")
-    return all(outer.row(i) <= inner.row(i - 1) for i in range(2, len(outer) + 1))

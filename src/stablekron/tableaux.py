@@ -22,9 +22,9 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 from functools import cache
-from operator import itemgetter
+from operator import itemgetter, le
 
-from .partitions import Partition, horizontal_strip, intersect
+from .partitions import Partition
 
 
 class UnsupportedFamily(ValueError):
@@ -126,12 +126,6 @@ def frame_end(shape: Partition, steps):
     return tuple.__new__(Partition, filter(None, lo[1:]))
 
 
-def apply_step(lam: Partition, st: Step):
-    """The shape one step leads to from lam, or None when the step is not
-    legal there: a lookup in _moves."""
-    return _moves(lam).get(st)
-
-
 @cache
 def _moves(cur: Partition) -> dict[Step, Partition]:
     """Every legal step from cur mapped to the shape it leads to, in
@@ -186,7 +180,7 @@ class KroneckerTableau(namedtuple("KroneckerTableau", "start steps")):
         """The partitions at integer levels 0..s.  Raises if the path is invalid."""
         out = [self.start]
         for st in self.steps:
-            nxt = apply_step(out[-1], st)
+            nxt = _moves(out[-1]).get(st)
             if nxt is None:
                 raise ValueError(f"invalid path: {self}")
             out.append(nxt)
@@ -209,16 +203,19 @@ def classify(lam: Partition, nu: Partition, s: int) -> TripleClass:
 
     Only the weight's size s = |mu| matters.  Precedence: maximal depth,
     then one-row, then the two further co-Pieri shapes; overlapping
-    triples take the first matching tag.
+    triples take the first matching tag.  Co-Pieri horizontal asks that
+    lam/(lam & nu) and nu/(lam & nu) be horizontal strips and that s =
+    _distance(lam, nu).  The first is lam_(i+1) <= min(lam_i, nu_i) for
+    every i >= 1, rows past the last read as 0, that is lam_(i+1) <= nu_i
+    as lam_(i+1) <= lam_i anyway; the second likewise: the rows interlace.
     """
     if lam.size + s == nu.size:
         return TripleClass.MAXIMAL_DEPTH
     if len(lam) <= 1 and len(nu) <= 1:
         return TripleClass.ONE_ROW_PAIR
-    inter = intersect(lam, nu)
     if (
-        horizontal_strip(lam, inter)
-        and horizontal_strip(nu, inter)
+        all(map(le, lam[1:], (*nu, 0)))
+        and all(map(le, nu[1:], (*lam, 0)))
         and s == _distance(lam, nu)
     ):
         return TripleClass.CO_PIERI_HORIZONTAL

@@ -1,9 +1,9 @@
 """Reference code the tests compare the library against; not collected.
 
-The "r1·d1·a1" tableau parser, the adjacent-step swap, the
-breadth-first swap closure and the reading word of one member.  The
-library finds each semistandard orbit at its least member, holds it,
-and builds the members and the reading word from it (see
+The "r1·d1·a1" tableau parser, the one-step lookup, the adjacent-step
+swap, the breadth-first swap closure and the reading word of one
+member.  The library finds each semistandard orbit at its least member,
+holds it, and builds the members and the reading word from it (see
 stablekron.orbits for the proof); the closure and reading_word_of here
 are the definitions those orbits and their words are checked against.
 The closure is the only way to see orbits that are not semistandard,
@@ -16,7 +16,9 @@ orbits.to_classical, which reads the filling off the steps, is checked
 against.  centralizer_order is the definition the character oracle's
 class sizes are checked against, and one_row_closed_form the closed form
 of the stable Kronecker coefficient on a one-row pair, which uses no
-library code, that both engines are checked against.
+library code, that both engines are checked against.  intersect and
+horizontal_strip define the co-Pieri horizontal family that
+tableaux.classify reads off interlacing rows.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from operator import neg
 
 from stablekron.orbits import ReadingWord, frames
 from stablekron.partitions import Partition, parse_partition
-from stablekron.tableaux import KroneckerTableau, Step, apply_step, enumerate_std0
+from stablekron.tableaux import KroneckerTableau, Step, _moves, enumerate_std0
 
 
 def parse_step(text: str) -> Step:
@@ -66,6 +68,12 @@ def is_path(t: KroneckerTableau) -> bool:
     except ValueError:
         return False
     return True
+
+
+def apply_step(lam: Partition, st: Step):
+    """The shape one step leads to from lam, or None when the step is not
+    legal there: a lookup in tableaux._moves."""
+    return _moves(lam).get(st)
 
 
 def swap(t: KroneckerTableau, k: int):
@@ -196,3 +204,14 @@ def one_row_closed_form(a: int, b: int, mu: tuple) -> int:
             d2 = a - r + (m1 - r - d) + m2 + m3 - b
             count += m3 <= d2 <= min(r, m2, a - r - d)
     return count
+
+
+def intersect(a: Partition, b: Partition) -> Partition:
+    """Rowwise minimum: the largest partition contained in both."""
+    return Partition(min(x, y) for x, y in zip(a, b))
+
+
+def horizontal_strip(outer: Partition, inner: Partition) -> bool:
+    """True iff outer/inner, with inner contained in outer, has no two
+    boxes in the same column."""
+    return all(outer.row(i) <= inner.row(i - 1) for i in range(2, len(outer) + 1))

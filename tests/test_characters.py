@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from reference import centralizer_order
+from reference import centralizer_order, horizontal_strip
 from stablekron import characters
 from stablekron.characters import (
     SizeMismatch,
@@ -22,7 +22,7 @@ from stablekron.characters import (
     stable_kronecker_oracle,
     standard_count,
 )
-from stablekron.partitions import FirstRowTooShort, Partition, pad, parse_partition
+from stablekron.partitions import FirstRowTooShort, Partition, contains, pad, parse_partition
 
 
 def P(text):
@@ -288,6 +288,18 @@ def test_character_reads_no_column(monkeypatch):
     assert columns == {}
 
 
+def test_oracle_refuses_an_n_no_memory_holds(monkeypatch):
+    # past _MAX_N the class table has over 10^10 entries; ḡ((300),(300),∅)
+    # = 1 is evaluated at n2 = 600, and the refusal builds no column
+    top = characters._MAX_N
+    assert characters._count(top, top) < 10**10 <= characters._count(top + 1, top + 1)
+    columns = {}
+    monkeypatch.setattr(characters, "_COLUMNS", columns)
+    with pytest.raises(ValueError, match="n = 600"):
+        stable_kronecker_oracle(P("300"), P("300"), P(""))
+    assert columns == {}
+
+
 @pytest.mark.parametrize("planted", [2, -3])
 def test_kronecker_rejects_corrupt_character(monkeypatch, planted):
     # g((2),(2),(2)) = (chi((2))^3 + 1) / 2! with the true chi = 1; a planted
@@ -307,8 +319,6 @@ def test_lr_known_values():
 
 def test_lr_pieri_rule():
     # multiplying by a one-row shape adds a horizontal strip
-    from stablekron.partitions import contains, horizontal_strip
-
     for nu_parts in partitions_of(5):
         nu = Partition(nu_parts)
         for lam_parts in partitions_of(3):

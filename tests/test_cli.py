@@ -390,6 +390,8 @@ def test_bad_partition_text():
         # a count that is not an integer
         ("enumerate", "std", "-l", "4", "-n", "4", "-s", "x"),
         ("verify", "dims", "--max-s", "x"),
+        # an evaluation point, n2 = 600, whose class table no memory holds
+        ("oracle", "stable", "-l", "300", "-n", "300", "-m", "0"),
     ],
 )
 def test_negative_argument_is_usage_error(argv):

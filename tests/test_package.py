@@ -138,15 +138,14 @@ def test_closed_pipe_ends_silently():
 # cached runs read the on-disk character cache (save_character_cache,
 # load_character_cache, and _shape under them); ROADMAP direction 1a
 # deletes these with it.  bench/tracing.py's Std0 replay reads
-# KroneckerTableau.levels, and apply_step under it, as do
-# tests/reference.py's is_path, swap and classical_by_replay; direction
-# 1b moves them to tests/reference.py once the replay metrics go.
+# KroneckerTableau.levels alone, as do tests/reference.py's is_path, swap
+# and classical_by_replay; direction 1b moves it to tests/reference.py
+# once the replay metrics go.
 UNREACHED_FOR_BENCH = {
     "characters.save_character_cache",
     "characters.load_character_cache",
     "characters._shape",
     "tableaux.KroneckerTableau.levels",
-    "tableaux.apply_step",
 }
 
 

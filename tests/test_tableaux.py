@@ -4,7 +4,16 @@ import re
 
 import pytest
 
-from reference import T, is_path, parse_step, parse_tableau, swap
+from reference import (
+    T,
+    apply_step,
+    horizontal_strip,
+    intersect,
+    is_path,
+    parse_step,
+    parse_tableau,
+    swap,
+)
 from stablekron import orbits, tableaux
 from stablekron.characters import partitions_up_to
 from stablekron.partitions import Partition, contains, parse_partition
@@ -13,7 +22,6 @@ from stablekron.tableaux import (
     Step,
     TripleClass,
     UnsupportedFamily,
-    apply_step,
     classify,
     enumerate_std,
     enumerate_std0,
@@ -479,6 +487,10 @@ def test_swap_is_an_involution():
         ("4", "4", "2,2,1", TripleClass.ONE_ROW_PAIR),
         ("", "", "2", TripleClass.ONE_ROW_PAIR),
         ("7,5,1,1", "5,3,3", "2,2,1", TripleClass.CO_PIERI_HORIZONTAL),
+        ("3,1", "2,2", "1", TripleClass.CO_PIERI_HORIZONTAL),
+        ("4,2", "3,3,1", "2", TripleClass.CO_PIERI_HORIZONTAL),  # three rows against two
+        ("3,1", "2,2", "2", TripleClass.UNKNOWN),  # interlaced, s past the distance
+        ("1,1,1", "1", "2", TripleClass.UNKNOWN),  # lengths differ by two
         ("2,1", "2,1", "1", TripleClass.CO_PIERI_STAIRCASE),
         ("4,2", "4,2", "2", TripleClass.CO_PIERI_STAIRCASE),
         ("7,5,1,1", "6,3,3", "2,2,1", TripleClass.UNKNOWN),
@@ -494,3 +506,23 @@ def test_classify_precedence():
     assert classify(P(""), P("2,1"), 3) is TripleClass.MAXIMAL_DEPTH
     # one-row beats the staircase reading of ((1),(1),...)
     assert classify(P("1"), P("1"), 1) is TripleClass.ONE_ROW_PAIR
+
+
+def test_classify_co_pieri_horizontal_is_the_strip_definition():
+    # the interlacing test equals the definition: both skews over lam & nu
+    # are horizontal strips and s is the distance, on every triple that
+    # the first two tags leave
+    shapes = partitions_up_to(8)
+    checked = found = 0
+    for lam, nu in itertools.product(shapes, repeat=2):
+        inter = intersect(lam, nu)
+        strips = horizontal_strip(lam, inter) and horizontal_strip(nu, inter)
+        distance = max(lam.size, nu.size) - inter.size
+        for s in range(11):
+            if lam.size + s == nu.size or (len(lam) <= 1 and len(nu) <= 1):
+                continue
+            want = strips and s == distance
+            assert (classify(lam, nu, s) is TripleClass.CO_PIERI_HORIZONTAL) == want, (lam, nu, s)
+            checked += 1
+            found += want
+    assert (checked, found) == (45_829, 1_191)
