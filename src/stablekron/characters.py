@@ -205,13 +205,14 @@ def kronecker(lam: Partition, mu: Partition, nu: Partition) -> int:
 def padded_kronecker(lam: Partition, nu: Partition, mu: Partition, n: int) -> int:
     """g of the three partitions padded to total n.  Padding p adds a
     first part n - |p|, that is one bead at n - |p| + len(p) above the
-    beads of p."""
+    beads of p.  A first part 0 comes only with p = () and n = 0, where
+    the masks 1 and 0 both give the column (1,)."""
     masks = []
     for p in (lam, nu, mu):
         first = n - p.size
         if first < p.row(1):
             pad(p, n)  # raises FirstRowTooShort with pad's message
-        masks.append(_mask(p) | (1 << first + len(p)) if first else _mask(p))
+        masks.append(_mask(p) | 1 << first + len(p))
     return _kronecker(n, *masks)
 
 
@@ -247,6 +248,9 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     Enumerated directly over skew fillings; independent of the path
     machinery.
     """
+    # Containment changes no value: with lam not inside nu the filler has
+    # more cells than entries and finds nothing.  It stays so that such
+    # input is answered before any search starts.
     if lam.size + mu.size != nu.size or not contains(lam, nu):
         return 0
     return _fillings(nu, lam, mu, lattice=True)

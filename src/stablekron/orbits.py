@@ -214,6 +214,11 @@ def to_classical(o: WeightedOrbit) -> list[list] | None:
     the start-shape cells, the frame number of the step that added the box
     elsewhere.  Read off the representative's steps: a box always lands at
     the end of its row, and a step to the row below the last opens it.
+
+    At maximal depth this maps the semistandard orbits one to one onto
+    the semistandard fillings of nu/lam with content mu, and the orbits
+    with a lattice word onto the Littlewood-Richardson tableaux: checked
+    on the sweep |nu| <= 8, not proven.
     """
     start, steps = o.representative
     rows = [[None] * part for part in start]

@@ -77,4 +77,4 @@ def pad(lam: Partition, n: int) -> Partition:
         raise FirstRowTooShort(f"cannot pad {lam!r} to {n}: first row {first} < {lam[0]}")
     if first < 0:
         raise FirstRowTooShort(f"cannot pad {lam!r} to {n}: {n} < {lam.size}")
-    return Partition((first,) + tuple(lam)) if first > 0 else lam
+    return Partition((first, *lam))  # first = 0 only for lam = (), and 0 is stripped

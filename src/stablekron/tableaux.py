@@ -100,7 +100,9 @@ def frame_end(shape: Partition, steps):
     i or giving one to row i + 1, so with every narrowing in, gap i is
     lo_i - hi_(i+1): lo is each row less its removals, hi each row plus
     its additions.  With x's own narrowing given back the tests read
-    lo_(q-1) >= hi_q and lo_p - hi_(p+1) >= [p = q] - [q = p + 1].  No
+    lo_(q-1) >= hi_q and lo_p - hi_(p+1) >= [p = q] - [q = p + 1]; the
+    last term can go, since for q = p + 1 the q-test lo_p >= hi_(p+1)
+    already passes the p-test with or without it.  No
     order fills a row past len(shape) + len(steps), so a step at row
     n = len(shape) + len(steps) + 1 or beyond fails.  Every order moves
     the same boxes, so all end on lo plus the additions, each row less its
@@ -118,7 +120,7 @@ def frame_end(shape: Partition, steps):
     for _, _, _, p, q in steps:
         if q > 1 and lo[q - 1] < hi[q]:
             return None
-        if p and lo[p] - hi[p + 1] < (p == q) - (q == p + 1):
+        if p and lo[p] - hi[p + 1] < (p == q):
             return None
     for _, _, _, p, q in steps:  # lo becomes the end shape
         if p != q:
@@ -225,9 +227,8 @@ def classify(lam: Partition, nu: Partition, s: int) -> TripleClass:
 
 
 def _is_staircase(lam: Partition) -> bool:
-    # (dl, d(l-1), ..., 2d, d) for some d, l >= 1
-    if not lam:
-        return False
+    # (dl, d(l-1), ..., 2d, d) for some d, l >= 1; lam is not empty, as
+    # classify tags lam = nu = () one-row first
     d = lam[-1]
     l = len(lam)
     return all(lam[i] == d * (l - i) for i in range(l))

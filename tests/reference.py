@@ -1,8 +1,11 @@
 """Reference code the tests compare the library against; not collected.
 
-The "r1·d1·a1" tableau parser, the one-step lookup, the adjacent-step
-swap, the breadth-first swap closure and the reading word of one
-member.  The library finds each semistandard orbit at its least member,
+The "r1·d1·a1" tableau parser, the one-step definition, the
+adjacent-step swap, the breadth-first swap closure and the reading word
+of one member.  One step is judged by Partition's own validation alone
+(reference_step), so the replay, is_path and swap share no legality code
+with tableaux.frame_end, the library's one closed form.  The library
+finds each semistandard orbit at its least member,
 holds it, and builds the members and the reading word from it (see
 stablekron.orbits for the proof); the closure and reading_word_of here
 are the definitions those orbits and their words are checked against.
@@ -18,18 +21,22 @@ class sizes are checked against, and one_row_closed_form the closed form
 of the stable Kronecker coefficient on a one-row pair, which uses no
 library code, that both engines are checked against.  intersect and
 horizontal_strip define the co-Pieri horizontal family that
-tableaux.classify reads off interlacing rows.
+tableaux.classify reads off interlacing rows.  skew_ssyt and lr_tableaux
+list the classical fillings, semistandard and Littlewood-Richardson, that
+orbits.to_classical is checked against at maximal depth; they share no
+code with orbits or characters._fillings.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque, namedtuple
+from functools import cache
 from operator import neg
 
 from stablekron.orbits import ReadingWord, frames
 from stablekron.partitions import Partition, parse_partition
-from stablekron.tableaux import KroneckerTableau, Step, _moves, enumerate_std0
+from stablekron.tableaux import KroneckerTableau, Step, enumerate_std0
 
 
 def parse_step(text: str) -> Step:
@@ -61,19 +68,44 @@ def T(start: str, text: str) -> KroneckerTableau:
     return parse_tableau(parse_partition(start), text)
 
 
-def is_path(t: KroneckerTableau) -> bool:
-    """Whether every step of t is legal where it is taken."""
+@cache
+def reference_step(lam: Partition, p: int, q: int):
+    """lam with a box removed in row p, then one added in row q (row 0: no
+    change), or None when either half is not a partition.  Judged by
+    Partition's own validation alone."""
+    parts = [*lam, *[0] * (p + q)]
     try:
-        t.levels()
+        if p:
+            parts[p - 1] -= 1
+            Partition(parts)
+        if q:
+            parts[q - 1] += 1
+        return Partition(parts)
     except ValueError:
-        return False
-    return True
+        return None
 
 
 def apply_step(lam: Partition, st: Step):
     """The shape one step leads to from lam, or None when the step is not
-    legal there: a lookup in tableaux._moves."""
-    return _moves(lam).get(st)
+    legal there, by reference_step."""
+    return reference_step(lam, st.remove_row, st.add_row)
+
+
+def replay(t: KroneckerTableau):
+    """The partitions at levels 0..s of t, one apply_step each, or None
+    when some step is not legal where it is taken."""
+    out = [t.start]
+    for st in t.steps:
+        nxt = apply_step(out[-1], st)
+        if nxt is None:
+            return None
+        out.append(nxt)
+    return out
+
+
+def is_path(t: KroneckerTableau) -> bool:
+    """Whether every step of t is legal where it is taken."""
+    return replay(t) is not None
 
 
 def swap(t: KroneckerTableau, k: int):
@@ -81,7 +113,7 @@ def swap(t: KroneckerTableau, k: int):
     path is not valid."""
     if not 1 <= k < t.length:
         raise IndexError(f"swap position {k} out of range for length {t.length}")
-    before = t.levels()[k - 1]
+    before = replay(t)[k - 1]
     mid = apply_step(before, t.steps[k])
     if mid is None or apply_step(mid, t.steps[k - 1]) is None:
         return None
@@ -163,7 +195,7 @@ def classical_by_replay(o) -> list[list] | None:
     if any(st.remove_row or not st.add_row for st in rep.steps):
         return None
     lam = rep.start
-    levels = rep.levels()
+    levels = replay(rep)
     nu = levels[-1]
     rows = [
         [None] * lam.row(i) + [0] * (nu.row(i) - lam.row(i))
@@ -215,3 +247,52 @@ def horizontal_strip(outer: Partition, inner: Partition) -> bool:
     """True iff outer/inner, with inner contained in outer, has no two
     boxes in the same column."""
     return all(outer.row(i) <= inner.row(i - 1) for i in range(2, len(outer) + 1))
+
+
+def skew_ssyt(outer: Partition, inner: Partition, content) -> list[list]:
+    """Every semistandard filling of outer/inner with content[v - 1]
+    entries v, as to_classical writes one: row i holds None on the inner
+    cells, then its entries.  Rows weakly increase and columns strictly
+    increase; cells are filled row by row, left to right."""
+    cells = [(i, j) for i, row in enumerate(outer) for j in range(inner.row(i + 1), row)]
+    grid = [[None] * row for row in outer]
+    left = list(content)
+    out = []
+
+    def fill(k):
+        if k == len(cells):
+            out.append([row.copy() for row in grid])
+            return
+        i, j = cells[k]
+        west = grid[i][j - 1] if j else None
+        north = grid[i - 1][j] if i else None
+        lo = max(west or 1, (north or 0) + 1)
+        for v in range(lo, len(left) + 1):
+            if left[v - 1]:
+                left[v - 1] -= 1
+                grid[i][j] = v
+                fill(k + 1)
+                grid[i][j] = None
+                left[v - 1] += 1
+
+    if sum(content) == len(cells):
+        fill(0)
+    return out
+
+
+def lr_tableaux(outer: Partition, inner: Partition, content) -> list[list]:
+    """The fillings of skew_ssyt whose reverse reading word, rows top to
+    bottom and each row right to left, is a lattice word: every prefix
+    holds at least as many v - 1 as v."""
+
+    def lattice(filling):
+        seen = [0] * (len(content) + 2)
+        for row in filling:
+            for v in reversed(row):
+                if v is not None:
+                    seen[v] += 1
+                    if v > 1 and seen[v] > seen[v - 1]:
+                        return False
+        return True
+
+    return [f for f in skew_ssyt(outer, inner, content) if lattice(f)]

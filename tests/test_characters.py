@@ -317,6 +317,16 @@ def test_lr_known_values():
     assert lr_coefficient(P("2,2"), P("1"), P("3,1")) == 0  # not contained
 
 
+def test_lr_answers_an_outside_start_before_any_search(monkeypatch):
+    # sizes agree, but (3) is not inside (2,2): the answer 0 comes from
+    # the containment test, before the filler starts
+    def search(*args, **kwargs):
+        raise AssertionError("the filler ran")
+
+    monkeypatch.setattr(characters, "_fillings", search)
+    assert lr_coefficient(P("3"), P("1"), P("2,2")) == 0
+
+
 def test_lr_pieri_rule():
     # multiplying by a one-row shape adds a horizontal strip
     for nu_parts in partitions_of(5):

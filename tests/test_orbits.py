@@ -1,12 +1,23 @@
 import itertools
+from operator import gt
 
 import pytest
 
 from reference import (
-    T, classical_by_replay, enumerate_orbits, is_path, orbit_of, reading_word_of, swap
+    T,
+    apply_step,
+    classical_by_replay,
+    enumerate_orbits,
+    lr_tableaux,
+    orbit_of,
+    reading_word_of,
+    replay,
+    skew_ssyt,
+    swap,
 )
 from stablekron import orbits, tableaux
-from stablekron.orbits import enumerate_sstd, frames, to_classical
+from stablekron.orbits import enumerate_sstd, frame_pairs, frames, to_classical
+from stablekron.reading import stable_kronecker_copieri
 from stablekron.characters import partitions_of
 from stablekron.partitions import Partition, contains, parse_partition
 from stablekron.tableaux import KroneckerTableau, Step, UnsupportedFamily, enumerate_std0
@@ -183,26 +194,32 @@ def test_members_are_distinct_orders():
 
 
 def test_after_is_every_order():
-    # _after against trying every distinct order: of every multiset of at
-    # most four steps legal at a shape with at most five boxes, and of at
-    # most three steps with rows <= len(shape) + 2 at a shape with at most
-    # four boxes, legal there or not.  In the second domain some multisets
-    # hold a step not legal at the shape, yet some order that takes it
-    # later is a path ("later").
+    # _after against replaying every distinct order by the one-step rule
+    # of tests/reference.py, which shares no code with frame_end: of every
+    # multiset of at most four steps legal at a shape with at most five
+    # boxes, and of at most three steps with rows <= len(shape) + 2 at a
+    # shape with at most four boxes, legal there or not.  In the second
+    # domain some multisets hold a step not legal at the shape, yet some
+    # order that takes it later is a path ("later").
     def any_steps(shape):
         return sorted(Step(p, q) for p, q in itertools.product(range(len(shape) + 3), repeat=2))
 
-    domains = [(5, 4, tableaux._moves, (13162, 3798, 0)), (4, 3, any_steps, (57578, 836, 1693))]
+    def legal_steps(shape):
+        return [st for st in any_steps(shape) if apply_step(shape, st) is not None]
+
+    domains = [(5, 4, legal_steps, (13162, 3798, 0)), (4, 3, any_steps, (57578, 836, 1693))]
     for size, most, candidates, counts in domains:
         checked = legal = later = 0
         for shape in _upto(size):
+            legal_here = set(legal_steps(shape))
             for k in range(most + 1):
                 for steps in itertools.combinations_with_replacement(candidates(shape), k):
                     paths = [KroneckerTableau(shape, order) for order in set(itertools.permutations(steps))]
-                    ok = list(map(is_path, paths))
+                    replays = list(map(replay, paths))
+                    ok = [levels is not None for levels in replays]
                     want = None
                     if all(ok):
-                        ends = {t.levels()[-1] for t in paths}
+                        ends = {levels[-1] for levels in replays}
                         assert len(ends) == 1, (shape, steps)
                         (want,) = ends
                     got = orbits._after(shape, steps)
@@ -212,7 +229,7 @@ def test_after_is_every_order():
                         assert type(got) is Partition and repr(got) == repr(want), (shape, steps)
                     checked += 1
                     legal += want is not None
-                    later += any(ok) and not set(steps) <= set(tableaux._moves(shape))
+                    later += any(ok) and not set(steps) <= legal_here
         assert (checked, legal, later) == counts
 
 
@@ -399,3 +416,29 @@ def test_to_classical_is_the_replay():
                 empty += got is None
         counts.append((filled, empty))
     assert counts == [(3181, 0), (38, 802)]
+
+
+def test_to_classical_is_onto_the_classical_fillings():
+    # at every maximal-depth triple with |nu| <= 8, to_classical maps the
+    # semistandard orbits onto the semistandard fillings of nu/lam with
+    # content mu, and the orbits that pass the lattice count's test onto
+    # the Littlewood-Richardson tableaux, both listed in tests/reference.py
+    # by their definitions; sorted lists, so no filling is hit twice
+    triples = orbits_seen = lattice_seen = 0
+    for nu in _upto(8):
+        for lam in _upto(nu.size):
+            if not contains(lam, nu):
+                continue
+            for mu in map(Partition, partitions_of(nu.size - lam.size)):
+                found = enumerate_sstd(lam, nu, mu.size, mu)
+                above, below = frame_pairs(mu)
+                lattice = [o for o in found if all(map(gt, above(o.steps), below(o.steps)))]
+                got = sorted(map(to_classical, found))
+                assert got == sorted(skew_ssyt(nu, lam, mu)), (lam, nu, mu)
+                got = sorted(map(to_classical, lattice))
+                assert got == sorted(lr_tableaux(nu, lam, mu)), (lam, nu, mu)
+                assert stable_kronecker_copieri(lam, nu, mu) == len(lattice), (lam, nu, mu)
+                triples += 1
+                orbits_seen += len(found)
+                lattice_seen += len(lattice)
+    assert (triples, orbits_seen, lattice_seen) == (4136, 10981, 1351)

@@ -12,6 +12,7 @@ from reference import (
     is_path,
     parse_step,
     parse_tableau,
+    reference_step,
     swap,
 )
 from stablekron import orbits, tableaux
@@ -95,33 +96,17 @@ def test_apply_step():
     assert apply_step(P(""), Step.dummy(1)) is None
 
 
-def _reference_step(lam, p, q):
-    """lam with a box removed in row p, then one added in row q (row 0: no
-    change), or None when either half is not a partition.  Judged by
-    Partition's own validation alone."""
-    parts = list(lam) + [0] * 5
-    try:
-        if p:
-            parts[p - 1] -= 1
-            Partition(parts)
-        if q:
-            parts[q - 1] += 1
-        return Partition(parts)
-    except ValueError:
-        return None
-
-
 def test_moves_is_the_one_step_definition():
-    # apply_step agrees with Partition's own validation on every step that
-    # could touch a row, and _moves lists exactly the legal steps in order.
+    # _moves agrees with Partition's own validation on every step that
+    # could touch a row, and lists exactly the legal steps in order.
     # _moves builds its shapes unvalidated, so each must be the very
     # Partition the validating constructor gives.
     shapes = partitions_up_to(6) + [Partition((1,) * 40), Partition((40,))]
     for lam in shapes:
         legal = []
         for p, q in itertools.product(range(len(lam) + 3), repeat=2):
-            want = _reference_step(lam, p, q)
-            got = apply_step(lam, Step(p, q))
+            want = reference_step(lam, p, q)
+            got = tableaux._moves(lam).get(Step(p, q))
             assert got == want, (lam, p, q)
             if want is not None:
                 assert type(got) is Partition and repr(got) == repr(want), (lam, p, q)
@@ -197,7 +182,7 @@ def test_std_is_every_path_in_step_order():
                     for cur, steps in paths
                     for p in range(5)
                     for q in range(5)
-                    if (nxt := _reference_step(cur, p, q)) is not None
+                    if (nxt := reference_step(cur, p, q)) is not None
                 ]
             for nu in shapes:
                 want = sorted(
